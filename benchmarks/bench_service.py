@@ -268,9 +268,12 @@ def _write_bench_json(request):
             for key, value in existing.items():
                 if key not in ("entries", "experiment"):
                     payload.setdefault(key, value)
-            if existing.get("experiment"):
-                payload["experiment"] = (existing["experiment"]
-                                         + " + P10 query service")
+            # Name the service once, however many runs merge here.
+            experiment = existing.get("experiment")
+            if experiment:
+                if "P10 query service" not in experiment:
+                    experiment += " + P10 query service"
+                payload["experiment"] = experiment
         except (ValueError, OSError):
             pass
     payload["entries"].update(RESULTS)

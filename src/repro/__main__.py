@@ -334,12 +334,12 @@ def _logic_run(args, query, optimize, stats, budget,
               f"intern_entries={meta['intern_entries']}, "
               f"interned={meta['interned']}")
         if args.backend == "columnar":
-            from repro.logic.codegen import last_report, representation_of
+            from repro.logic.codegen import representation_of
             reps = ", ".join(
                 f"{name}={representation_of(structure.vocabulary.arity(name))}"
                 for name in sorted(structure.relations))
             print(f"columnar:    {reps or 'no relations'}")
-            report = last_report()
+            report = stats.columnar_report
             if report is not None:
                 kinds = ", ".join(f"{kind}={count}" for kind, count
                                   in report["representations"].items() if count)

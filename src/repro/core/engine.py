@@ -17,9 +17,11 @@ order, and runs it on one of three interchangeable backends:
     — the reference operational semantics, with per-node step counting.
 
 ``reference``
-    The interpreter running on the seed's uncached value algorithms
-    (:func:`repro.core.reference.legacy_mode`).  Exists purely as a
-    differential/benchmark baseline.
+    The interpreter plus the oracle strategies: naive fixed-point kernels
+    and the tuple-at-a-time logic checker.  Exists purely as a
+    differential/benchmark baseline; its values are the ordinary runtime
+    values (the seed's value algorithms are pure functions in
+    :mod:`repro.core.reference`).
 
 All three agree on values and on the semantically determined counters
 (``inserts``, reduce iterations, ``function_calls``, ``new_values``, peak
@@ -369,10 +371,6 @@ class Session:
             return compiled.call(name, *args, database=database,
                                  limits=self.limits, atom_order=order,
                                  stats=stats, governor=governor)
-        if self.backend == "reference":
-            from .reference import legacy_mode
-            with legacy_mode():
-                return self._run_interp(mode, database, main, order, name, args)
         return self._run_interp(mode, database, main, order, name, args)
 
     def _run_interp(self, mode, database, main, order, name, args):

@@ -3,40 +3,42 @@ and for the perf-trajectory benchmarks.
 
 The optimized value layer (cached canonical keys, linear-merge union,
 sorted-input detection — see DESIGN.md) must agree *exactly* with the
-original uncached algorithms.  This module keeps those originals around in
-two forms:
+original uncached algorithms.  This module keeps those originals as pure
+functions that recompute everything from scratch on every call and share
+no state with the runtime:
 
 * :func:`value_key_reference` / :func:`value_sort_reference` — the seed's
-  recursive key computation, recomputed from scratch on every call, with no
-  memoization anywhere.  Property tests compare the cached keys against
-  these on randomly generated nested values and random ``atom_order``
-  permutations.
+  recursive key computation.  Property tests compare the cached keys
+  against these on randomly generated nested values and random
+  ``atom_order`` permutations.
+* :func:`canonical_elements_reference` — a key-based set constructor,
+  the oracle for ``SRLSet`` construction, ``insert``, ``union`` and
+  membership.  It sorts as the seed did but deduplicates by reference key,
+  where the seed used Python ``==`` and so merged ``true`` with ``1``; that
+  departure from the seed is deliberate.
+* :func:`value_size_reference` — the recursive ``value_size``.
+* :func:`choose_reference` / :func:`rest_reference` — brute-force scans for
+  the key minimum.
 
-* :func:`legacy_mode` — a context manager that flips the whole runtime
-  (``SRLSet`` construction, ``insert``, ``union``, membership, hashing,
-  ``value_size``, and the evaluator's ``choose``/``rest`` fast paths) back
-  to the seed code paths.  ``benchmarks/bench_perf_overhaul.py`` uses it to
-  time the identical workload on the seed implementation and on the
-  optimized one, which is how the ≥10× speedup figures in
-  ``BENCH_perf.json`` are measured.
-
+There is no switch that routes the runtime through these: a differential
+test or benchmark calls them side by side with the optimized paths.
 Nothing in the production code path imports this module.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 from .errors import SRLRuntimeError
-from .values import Atom, SRLList, SRLSet, SRLTuple, _set_caching, caches_enabled
+from .values import Atom, SRLList, SRLSet, SRLTuple
 
 __all__ = [
     "value_key_reference",
     "value_sort_reference",
+    "canonical_elements_reference",
+    "value_size_reference",
     "choose_reference",
     "rest_reference",
-    "legacy_mode",
 ]
 
 
@@ -73,6 +75,34 @@ def value_sort_reference(values: Iterable["Value"],
     return sorted(values, key=lambda v: value_key_reference(v, atom_order))
 
 
+def canonical_elements_reference(elements: Iterable["Value"]) -> tuple["Value", ...]:
+    """Key-based reference set constructor: drop elements whose reference
+    key was already seen, then sort by that key.  The sort is the seed's;
+    the deduplication deliberately is not.  The seed deduplicated by Python
+    ``==``, which merged ``true`` and ``1``; by key they stay distinct, as
+    SRL's kinds are."""
+    unique = {}
+    for element in elements:
+        unique.setdefault(value_key_reference(element), element)
+    return tuple(unique[key] for key in sorted(unique))
+
+
+def value_size_reference(value: "Value") -> int:
+    """The seed's :func:`~repro.core.values.value_size`: a full recursive
+    sum with no memoization."""
+    if isinstance(value, (bool, Atom)):
+        return 1
+    if isinstance(value, int):
+        return max(1, value.bit_length())
+    if isinstance(value, SRLTuple):
+        return sum(value_size_reference(v) for v in value)
+    if isinstance(value, SRLSet):
+        return 1 + sum(value_size_reference(v) for v in value.elements)
+    if isinstance(value, SRLList):
+        return 1 + sum(value_size_reference(v) for v in value.items)
+    raise SRLRuntimeError(f"not an SRL value: {value!r}")
+
+
 def choose_reference(value: SRLSet, atom_order: Sequence[int] | None = None) -> "Value":
     """Brute-force ``choose``: scan every element for the key minimum."""
     if value.is_empty():
@@ -81,22 +111,9 @@ def choose_reference(value: SRLSet, atom_order: Sequence[int] | None = None) -> 
 
 
 def rest_reference(value: SRLSet, atom_order: Sequence[int] | None = None) -> SRLSet:
-    """Brute-force ``rest``: rebuild the set without the key minimum."""
-    minimum = choose_reference(value, atom_order)
-    return SRLSet([v for v in value.elements if v != minimum])
-
-
-@contextmanager
-def legacy_mode():
-    """Run the enclosed block on the seed's uncached code paths.
-
-    Only benchmarks and differential tests should use this.  The flag is
-    process-global, so the block must not run concurrently with optimized
-    evaluation (the test suite and benchmarks are single-threaded).
-    """
-    previous = caches_enabled()
-    _set_caching(False)
-    try:
-        yield
-    finally:
-        _set_caching(previous)
+    """Brute-force ``rest``: rebuild the set without the key minimum.
+    Elements are compared by reference key, not by ``==``, for the same
+    reason as in :func:`canonical_elements_reference`."""
+    minimum = value_key_reference(choose_reference(value, atom_order), atom_order)
+    return SRLSet([v for v in value.elements
+                   if value_key_reference(v, atom_order) != minimum])

@@ -105,7 +105,6 @@ __all__ = [
     "compiled_columnar",
     "clear_codegen_cache",
     "execute_columnar",
-    "last_report",
     "representation_of",
     "set_max_columnar_universe",
 ]
@@ -1248,9 +1247,6 @@ _CODEGEN_CACHE_LIMIT = 512
 # race would be wasted work, not corruption — the lock spares even that.
 _CODEGEN_LOCK = threading.Lock()
 
-#: The most recently compiled-or-fetched plan's report, for the CLI.
-_LAST_REPORT: dict | None = None
-
 
 def clear_codegen_cache() -> None:
     """Drop every compiled plan (chaos/benchmark fixtures call this)."""
@@ -1261,8 +1257,8 @@ def clear_codegen_cache() -> None:
 def compiled_columnar(plan: Plan, n: int, seminaive: bool = True,
                       stats: PlanStats | None = None) -> CompiledColumnarPlan:
     """The cached compiled form of ``(plan, n, strategy)`` — the
-    representation signature.  Hits are counted on ``stats``."""
-    global _LAST_REPORT
+    representation signature.  Hits are counted on ``stats``, which also
+    receives the plan's representation report (``columnar_report``)."""
     key = (plan, n, seminaive)
     with _CODEGEN_LOCK:
         compiled = _CODEGEN_CACHE.get(key)
@@ -1275,14 +1271,9 @@ def compiled_columnar(plan: Plan, n: int, seminaive: bool = True,
             if len(_CODEGEN_CACHE) >= _CODEGEN_CACHE_LIMIT:
                 _CODEGEN_CACHE.clear()
             _CODEGEN_CACHE[key] = compiled
-    _LAST_REPORT = compiled.report()
+    if stats is not None:
+        stats.columnar_report = compiled.report()
     return compiled
-
-
-def last_report() -> dict | None:
-    """The representation report of the most recent compile/lookup (what
-    the CLI's ``--stats`` shows for ``--backend columnar``)."""
-    return _LAST_REPORT
 
 
 def execute_columnar(plan: Plan, structure, auxiliary=None,
@@ -1298,9 +1289,9 @@ def execute_columnar(plan: Plan, structure, auxiliary=None,
     memory) instead of the dense generated code (giant-int masks, O(n)
     bytes per row).  Every node that fell back to the tuple representation
     is surfaced as a ``DegradationEvent("representation", "tuple", ...)``
-    when the caller passes a ``degradations`` list.
+    when the caller passes a ``degradations`` list.  ``stats`` receives
+    the run's representation report (what the CLI's ``--stats`` shows).
     """
-    global _LAST_REPORT
     if structure.size > MAX_COLUMNAR_UNIVERSE:
         raise ValueError(
             f"universe of {structure.size} exceeds the columnar limit "
@@ -1311,12 +1302,13 @@ def execute_columnar(plan: Plan, structure, auxiliary=None,
         result = execute_chunked(plan, structure, auxiliary=auxiliary,
                                  seminaive=seminaive, stats=stats,
                                  governor=governor)
-        _LAST_REPORT = {
-            "universe": structure.size,
-            "backend": "chunked",
-            "representations": {"*": "chunked-csr"},
-            "tuple_fallbacks": [],
-        }
+        if stats is not None:
+            stats.columnar_report = {
+                "universe": structure.size,
+                "backend": "chunked",
+                "representations": {"*": "chunked-csr"},
+                "tuple_fallbacks": [],
+            }
         return result
     compiled = compiled_columnar(plan, structure.size, seminaive, stats)
     if degradations is not None:

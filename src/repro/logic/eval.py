@@ -310,6 +310,12 @@ class ModelChecker:
             self._governor = previous
             self._thread_lock.release()
 
+    def is_memoized(self, formula: Formula) -> bool:
+        """Whether :meth:`defined_relation` would answer ``formula`` from
+        the plan cache under the auxiliary relations now in scope."""
+        with self._thread_lock:
+            return ("plan", formula, self._aux_snapshot()) in self._fixpoint_cache
+
     def defined_relation(self, formula: Formula
                          ) -> tuple[tuple[str, ...], frozenset]:
         """The relation ``formula`` defines over its free variables, as

@@ -129,6 +129,10 @@ class PlanStats:
     * ``bytes_resident`` — peak structural byte estimate of packed columnar
       payloads (bitset words, CSR offset/target arrays) held at once.
       Both peaks are max-merged, never summed, across plans.
+    * ``columnar_report`` — the representation report of the most recent
+      columnar execution (see
+      :meth:`~repro.logic.codegen.CompiledColumnarPlan.report`), or
+      ``None`` before any.  Not a counter, so not in :meth:`as_dict`.
     """
 
     rows_materialized: int = 0
@@ -139,6 +143,7 @@ class PlanStats:
     peak_rows_resident: int = 0
     bytes_resident: int = 0
     fixpoint_round_rows: list[int] = field(default_factory=list)
+    columnar_report: dict | None = None
 
     def note_resident(self, rows: int | None = None,
                       byte_count: int | None = None) -> None:

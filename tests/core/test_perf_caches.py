@@ -10,22 +10,27 @@ in :mod:`repro.core.reference` — including under permuted ``atom_order``
 
 from __future__ import annotations
 
+import threading
+import time
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import Atom, Database, Evaluator, make_set, make_tuple
-from repro.core.ast import Choose, Rest, Var
+from repro.core.ast import BoolConst, Choose, EmptySet, Insert, NatConst, Rest, Var
+from repro.core.engine import BACKENDS, Session
 from repro.core.reference import (
+    canonical_elements_reference,
     choose_reference,
-    legacy_mode,
     rest_reference,
     value_key_reference,
+    value_size_reference,
     value_sort_reference,
 )
 from repro.core.values import (
     SRLList,
     SRLSet,
     SRLTuple,
-    caches_enabled,
     value_key,
     value_size,
     value_sort,
@@ -34,11 +39,7 @@ from repro.core.values import (
 DOMAIN = 8
 
 atoms = st.integers(min_value=0, max_value=DOMAIN - 1).map(Atom)
-# Naturals start at 2: the seed deduplicated via Python equality, under which
-# True == 1 and False == 0 cross the bool/nat kind boundary; the key-based
-# paths deliberately keep the kinds distinct (see DESIGN.md, "Values layer"),
-# so the differential tests stay off that pathological (untyped) overlap.
-scalars = st.one_of(st.booleans(), st.integers(min_value=2, max_value=9), atoms)
+scalars = st.one_of(st.booleans(), st.integers(min_value=0, max_value=9), atoms)
 values = st.recursive(
     scalars,
     lambda children: st.one_of(
@@ -81,10 +82,7 @@ class TestCachedKeys:
 class TestSetConstruction:
     @given(st.lists(values, max_size=8))
     def test_construction_matches_seed(self, items):
-        fast = SRLSet(items)
-        with legacy_mode():
-            slow = SRLSet(items)
-        assert fast.elements == slow.elements
+        assert SRLSet(items).elements == canonical_elements_reference(items)
 
     @given(st.lists(values, max_size=8))
     def test_sorted_input_detection_is_invisible(self, items):
@@ -96,23 +94,19 @@ class TestSetConstruction:
     @given(st.lists(values, max_size=8), values)
     def test_insert_matches_seed(self, items, extra):
         fast = SRLSet(items).insert(extra)
-        with legacy_mode():
-            slow = SRLSet(list(items) + [extra])
-        assert fast.elements == slow.elements
+        assert fast.elements == canonical_elements_reference(list(items) + [extra])
 
     @given(st.lists(values, max_size=6), st.lists(values, max_size=6))
     def test_union_linear_merge_matches_seed(self, left, right):
         fast = SRLSet(left).union(SRLSet(right))
-        with legacy_mode():
-            slow = SRLSet(list(left) + list(right))
-        assert fast.elements == slow.elements
+        assert fast.elements == canonical_elements_reference(list(left) + list(right))
 
     @given(st.lists(values, max_size=8), values)
     def test_membership_matches_seed(self, items, probe):
-        fast = probe in SRLSet(items)
-        with legacy_mode():
-            slow = probe in SRLSet(items)
-        assert fast == slow
+        key = value_key_reference(probe)
+        slow = any(value_key_reference(v) == key
+                   for v in canonical_elements_reference(items))
+        assert (probe in SRLSet(items)) == slow
 
 
 class TestChooseRestFastPath:
@@ -146,9 +140,7 @@ class TestChooseRestFastPath:
 class TestValueSizeCache:
     @given(values)
     def test_cached_size_matches_seed(self, value):
-        cached = value_size(value)
-        with legacy_mode():
-            assert value_size(value) == cached
+        assert value_size(value) == value_size_reference(value)
 
     @given(st.lists(values, max_size=6))
     def test_size_propagates_through_insert_chains(self, items):
@@ -156,18 +148,14 @@ class TestValueSizeCache:
         value_size(s)  # warm the cache so propagation kicks in
         for item in items:
             s = s.insert(item)
-            cached = value_size(s)
-            with legacy_mode():
-                assert value_size(s) == cached
+            assert value_size(s) == value_size_reference(s)
 
     @given(st.lists(values, min_size=1, max_size=6))
     def test_size_propagates_through_rest(self, items):
         s = SRLSet(items)
         value_size(s)
         while not s.is_empty():
-            cached = value_size(s)
-            with legacy_mode():
-                assert value_size(s) == cached
+            assert value_size(s) == value_size_reference(s)
             s = s.rest()
 
     @given(st.lists(values, max_size=5))
@@ -176,9 +164,7 @@ class TestValueSizeCache:
         value_size(xs)
         for item in items:
             xs = xs.cons(item)
-            cached = value_size(xs)
-            with legacy_mode():
-                assert value_size(xs) == cached
+            assert value_size(xs) == value_size_reference(xs)
 
 
 class TestKindConsistency:
@@ -243,27 +229,58 @@ class TestPermutedKeyCacheBound:
         assert None in cache
 
 
-class TestLegacyModeHygiene:
-    def test_legacy_mode_restores_caching(self):
-        assert caches_enabled()
-        with legacy_mode():
-            assert not caches_enabled()
-        assert caches_enabled()
+TRUE_AND_ONE = Insert(BoolConst(True), Insert(NatConst(1), EmptySet()))
 
-    def test_legacy_mode_restores_on_error(self):
+
+class TestReferenceBackendSharesNoState:
+    """The ``reference`` backend differs only in strategy (interpreter,
+    naive kernels, tuple logic oracle); it shares the runtime values with
+    every other backend and flips nothing process-wide."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_keeps_true_and_one_apart(self, backend):
+        value = Session(backend=backend).run({}, main=TRUE_AND_ONE)
+        assert len(value) == 2
+
+    def test_reference_session_does_not_leak_into_other_threads(self):
+        from repro.queries import powerset_program
+
+        started, stop = threading.Event(), threading.Event()
+        reference_runs = []
+        errors = []
+
+        def reference_loop():
+            try:
+                session = Session(powerset_program(), backend="reference")
+                database = Database({"S": make_set(*(Atom(i) for i in range(6)))})
+                session.run(database)
+                reference_runs.append(1)
+                started.set()
+                while not stop.is_set():
+                    session.run(database)
+                    reference_runs.append(1)
+            except BaseException as exc:  # re-raised in the main thread
+                errors.append(exc)
+                started.set()
+
+        background = threading.Thread(target=reference_loop, daemon=True)
+        background.start()
         try:
-            with legacy_mode():
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert caches_enabled()
-
-    def test_values_cross_modes(self):
-        # A value built with caches on is usable in legacy mode and back.
-        s = make_set(make_tuple(Atom(1), Atom(2)), Atom(0))
-        key = value_key(s)
-        with legacy_mode():
-            assert value_key(s) == key
-            grown = s.insert(Atom(3))
-        assert grown.insert(Atom(4)).elements == \
-            SRLSet([make_tuple(Atom(1), Atom(2)), Atom(0), Atom(3), Atom(4)]).elements
+            assert started.wait(timeout=60), "reference session never started"
+            compiled = Session()
+            runs_before = len(reference_runs)
+            sizes = [len(compiled.run({}, main=TRUE_AND_ONE)) for _ in range(300)]
+            # Keep the compiled side running until a reference run has
+            # finished inside its window, so the two really overlapped.
+            deadline = time.monotonic() + 60
+            while (not errors and len(reference_runs) == runs_before
+                   and time.monotonic() < deadline):
+                sizes.append(len(compiled.run({}, main=TRUE_AND_ONE)))
+        finally:
+            stop.set()
+            background.join(timeout=60)
+        assert not background.is_alive(), "reference session did not stop"
+        if errors:
+            raise errors[0]
+        assert len(reference_runs) > runs_before
+        assert sizes == [2] * len(sizes)

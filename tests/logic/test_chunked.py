@@ -17,13 +17,8 @@ from repro.core.errors import MemoryLimitExceeded, ResourceLimitExceeded
 from repro.core.governor import Budget
 from repro.logic import codegen
 from repro.logic.chunked import ChunkedUnsupported, execute_chunked
-from repro.logic.codegen import (
-    execute_columnar,
-    last_report,
-    set_max_columnar_universe,
-)
-from repro.logic.compile import compile_formula
-from repro.logic.eval import define_relation
+from repro.logic.codegen import set_max_columnar_universe
+from repro.logic.eval import ModelChecker, define_relation
 from repro.logic.plan import DomainProduct, PlanStats
 from repro.logic.queries import CANONICAL_QUERIES
 from repro.structures import load_structure, save_snapshot
@@ -84,9 +79,9 @@ def test_zoo_families_differential(chunk_everything, make):
 def test_chunked_backend_reported(chunk_everything):
     query = CANONICAL_QUERIES["tc"]
     structure = random_graph(6, seed=2)
-    plan = compile_formula(query.formula(), query.variables)
-    execute_columnar(plan, structure)
-    report = last_report()
+    checker = ModelChecker(structure, backend="columnar")
+    checker.defined_relation(query.formula())
+    report = checker.plan_stats.columnar_report
     assert report is not None
     assert report["backend"] == "chunked"
     assert report["tuple_fallbacks"] == []

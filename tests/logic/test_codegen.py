@@ -18,7 +18,6 @@ from repro.logic.codegen import (
     compile_columnar,
     compiled_columnar,
     execute_columnar,
-    last_report,
     representation_of,
 )
 from repro.logic.compile import compile_formula
@@ -75,11 +74,25 @@ def test_codegen_cache_key_includes_universe_and_strategy():
 def test_representation_report():
     structure = path_graph(6)
     plan = compile_formula(TC)
-    execute_columnar(plan, structure)
-    report = last_report()
+    stats = PlanStats()
+    execute_columnar(plan, structure, stats=stats)
+    report = stats.columnar_report
     assert report["universe"] == 6
     assert report["representations"]["csr"] >= 1
     assert report["tuple_fallbacks"] == []
+
+
+def test_each_checker_reports_its_own_universe():
+    # The report lives on the checker's stats, not in a module global, so
+    # interleaved checkers over different universes never see each
+    # other's report.
+    small = ModelChecker(path_graph(5), backend="columnar")
+    large = ModelChecker(path_graph(7), backend="columnar")
+    small.defined_relation(TC)
+    large.defined_relation(TC)
+    small.defined_relation(TC)
+    assert small.plan_stats.columnar_report["universe"] == 5
+    assert large.plan_stats.columnar_report["universe"] == 7
 
 
 def test_representation_of_by_arity():
@@ -97,12 +110,13 @@ def test_arity_three_recorded_as_fallback():
     structure = path_graph(5)
     plan = compile_formula(formula, ("u", "v"))
     events = []
-    rows = execute_columnar(plan, structure, degradations=events)
+    stats = PlanStats()
+    rows = execute_columnar(plan, structure, stats=stats, degradations=events)
     context = ExecutionContext(structure)
     assert rows == plan.execute(context).rows
     fallbacks = [e for e in events if e.stage == "representation"]
     assert fallbacks and all(e.fallback == "tuple" for e in fallbacks)
-    assert last_report()["tuple_fallbacks"]
+    assert stats.columnar_report["tuple_fallbacks"]
 
 
 def test_universe_cost_gate():

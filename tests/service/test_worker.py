@@ -75,6 +75,29 @@ def test_second_query_hits_the_plan_cache(worker):
     assert second["stats"]["plan_cache_hits"] == 1
 
 
+def test_elapsed_ms_includes_sorting_the_rows(worker, monkeypatch):
+    # A controlled clock that only moves while the worker sorts: every
+    # sort it runs, the reply's rows included, must land in elapsed_ms.
+    from types import SimpleNamespace
+
+    from repro.service import worker as worker_module
+
+    now = [100.0]
+    sorts = []
+
+    def slow_sorted(items):
+        now[0] += 1.0
+        sorts.append(now[0])
+        return sorted(items)
+
+    monkeypatch.setattr(worker_module, "time",
+                        SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(worker_module, "sorted", slow_sorted, raising=False)
+    reply = worker.handle({"op": "query", "structure": "g", "query": "tc"})
+    assert reply["ok"], reply
+    assert sorts and reply["elapsed_ms"] == 1000.0 * len(sorts)
+
+
 def test_unknown_query_is_input(worker):
     reply = worker.handle({"op": "query", "structure": "g", "query": "nope"})
     assert reply["error"]["kind"] == "input"
