@@ -417,13 +417,19 @@ def _closure_functional(adjacency: list[int], n: int) -> list[int]:
 # :func:`reach_from` BFS over the post-delete adjacency.
 
 
-def reach_from(adjacency: list[int], source: int) -> int:
+def reach_from(adjacency: list[int], source: int, governor=None) -> int:
     """The *reflexive* reach bitset of one ``source`` over bitmask-row
-    adjacency — the per-source re-derivation kernel of DRed deletion."""
+    adjacency — the per-source re-derivation kernel of DRed deletion and
+    the dense kernel of a seeded closure.  A ``governor`` notes one round
+    per BFS wave, like :func:`reach_from_csr`."""
     seen = 1 << source
     frontier = adjacency[source] & ~seen
     table = _BYTE_OFFSETS
+    if governor is not None:
+        governor.note_round()
     while frontier:
+        if governor is not None:
+            governor.note_round()
         seen |= frontier
         step = 0
         data = frontier.to_bytes((frontier.bit_length() + 7) >> 3, "little")

@@ -20,11 +20,12 @@ Representations by arity (the ``kind`` tags of :class:`_Rel`):
 * ``"t"`` — any other arity: the tuple-set of last resort.
 
 The interpreter covers the closure pipeline completely — scans (with the
-snapshot fast path), ``Closure`` via the SCC condensation kernel, the
-single-source ``Select``-over-``Closure`` rewrite (a pinned endpoint
-turns the full closure into one BFS), projections, boolean combinators,
-semi-naive ``Fixpoint``.  Node shapes it does not cover (``universe**k``
-products, ``k >= 2`` closures, exotic joins) raise
+snapshot fast path), ``Closure`` via the SCC condensation kernel,
+``SeededClosure`` via one CSR BFS, projections, boolean combinators,
+semi-naive ``Fixpoint`` (whose unary-frontier joins against a CSR
+relation run as one image or pre-image, never as tuples).  Node shapes
+it does not cover (``universe**k`` products, ``k >= 2`` closures, exotic
+joins) raise
 :class:`ChunkedUnsupported`, which the evaluation ladder absorbs as a
 ``DegradationEvent("columnar", "plan", ...)`` — correctness never depends
 on this module, only speed and memory do.
@@ -55,8 +56,6 @@ from .plan import (
     AntiJoin,
     AuxScan,
     Closure,
-    Col,
-    Const,
     ConstrainedDomain,
     CountSelect,
     Cumulative,
@@ -74,6 +73,7 @@ from .plan import (
     Project,
     RelationScan,
     Rename,
+    SeededClosure,
     Select,
     SemiJoin,
     Shared,
@@ -94,12 +94,15 @@ class ChunkedUnsupported(ValueError):
 class _Rel:
     """One relation in the chunked interpreter's representation union."""
 
-    __slots__ = ("arity", "kind", "payload")
+    __slots__ = ("arity", "kind", "payload", "converse")
 
     def __init__(self, arity: int, kind: str, payload):
         self.arity = arity
         self.kind = kind
         self.payload = payload
+        #: The transposed CSR pair of a frozen ``"c"`` payload, built on
+        #: first use (a shared relation keeps it across fixpoint rounds).
+        self.converse = None
 
     def count(self) -> int:
         kind, payload = self.kind, self.payload
@@ -176,12 +179,6 @@ def _csr_of(rel: _Rel, n: int) -> tuple:
     if rel.kind == "c":
         return rel.payload
     return csr_of_sparse(rel.payload, n)
-
-
-def _const_value(ref, n: int) -> int | None:
-    if isinstance(ref, Const):
-        return 0 if ref.which == "zero" else n - 1
-    return None
 
 
 # ------------------------------------------------------------- the evaluator
@@ -394,54 +391,10 @@ class _Interpreter:
         return _rel_of_rows(rows, len(indices), self.n)
 
     def _eval_select(self, node: Select) -> _Rel:
-        target = node.child
-        if isinstance(target, Shared):
-            target = target.child
-        if isinstance(target, Closure) and target.k == 1:
-            fast = self._select_closure(node, target)
-            if fast is not None:
-                self._note(fast)
-                return fast
         child = self.eval(node.child)
         rel = self._select(child, node.comparisons)
         self._note(rel)
         return rel
-
-    def _select_closure(self, node: Select, closure: Closure) -> _Rel | None:
-        """``Select`` over a k=1 ``Closure`` with a pinned endpoint: one
-        BFS over the edges instead of the full closure — O(edges) time and
-        O(reach) memory, the rewrite that makes single-source reachability
-        (the GAP sentence) flat in n."""
-        n = self.n
-        pinned = [None, None]
-        for comparison in node.comparisons:
-            if comparison.op != "eq":
-                continue
-            for here, there in ((comparison.left, comparison.right),
-                                (comparison.right, comparison.left)):
-                value = _const_value(there, n)
-                if isinstance(here, Col) and value is not None:
-                    pinned[here.index] = value
-        if pinned[0] is None and pinned[1] is None:
-            return None
-        edges = self.eval(closure.body)
-        offsets, targets = _csr_of(edges, n)
-        if closure.deterministic:
-            offsets, targets = _functional_csr(offsets, targets, n)
-        if pinned[0] is not None:
-            source = pinned[0]
-            reached = reach_from_csr(offsets, targets, n, source,
-                                     governor=self.governor)
-            rows = {(source, target) for target in reached}
-        else:
-            target = pinned[1]
-            offsets, targets = transpose_csr(offsets, targets, n)
-            reached = reach_from_csr(offsets, targets, n, target,
-                                     governor=self.governor)
-            rows = {(source, target) for source in reached}
-        keep = {row for row in rows
-                if all(c.evaluate(row, n) for c in node.comparisons)}
-        return _rel_of_rows(keep, 2, n)
 
     def _select(self, child: _Rel, comparisons) -> _Rel:
         n = self.n
@@ -648,8 +601,22 @@ class _Interpreter:
     def _join(self, left: _Rel, right: _Rel, left_key: tuple,
               right_key: tuple, keep: tuple, out: tuple) -> _Rel:
         """The generic hash join, with the arity-2 compose shape routed
-        through per-row set work instead of tuple materialization."""
+        through per-row set work and the unary-against-binary shape
+        through one image or pre-image, instead of tuple
+        materialization."""
         n = self.n
+        if len(left_key) == 1 and {left.arity, right.arity} == {1, 2}:
+            if left.arity == 2:
+                pairs, bits, shared = left, right.payload, left_key[0]
+                other = 1 - shared
+            else:  # combined layout: (shared, binary's other column)
+                pairs, bits, shared, other = right, left.payload, \
+                    right_key[0], 1
+            if out in ((other,), ()):
+                reached = self._image(pairs, bits, converse=shared == 1)
+                if out:
+                    return _Rel(1, "b", reached)
+                return _Rel(0, "0", 1 if reached else 0)
         if (left.arity == 2 and right.arity == 2 and len(left_key) == 1
                 and left.kind in ("c", "s") and right.kind in ("c", "s")):
             # Normalize: probe left rows keyed on the shared column against
@@ -698,6 +665,25 @@ class _Interpreter:
                 rows.add(tuple(full[i] for i in out))
         return _rel_of_rows(rows, len(out), n)
 
+    def _image(self, pairs: _Rel, bits: int, converse: bool) -> int:
+        """The bitset of nodes one ``pairs`` edge away from ``bits`` —
+        forward (the image), or backward along the cached transposed CSR
+        when ``converse`` (the pre-image).  O(edges touched), no tuples."""
+        n = self.n
+        offsets, targets = _csr_of(pairs, n)
+        if converse:
+            if pairs.kind != "c":
+                offsets, targets = transpose_csr(offsets, targets, n)
+            else:
+                if pairs.converse is None:
+                    pairs.converse = transpose_csr(offsets, targets, n)
+                offsets, targets = pairs.converse
+        mark = bytearray((n + 7) >> 3)
+        for node in iter_bits(bits):
+            for target in targets[offsets[node]:offsets[node + 1]]:
+                mark[target >> 3] |= 1 << (target & 7)
+        return int.from_bytes(mark, "little")
+
     def _eval_count(self, node: CountSelect) -> _Rel:
         n = self.n
         threshold = node.threshold
@@ -744,6 +730,30 @@ class _Interpreter:
                            deterministic=node.deterministic,
                            governor=self.governor, stats=self.stats)
         rel = _Rel(2, "c", pair)
+        self._note(rel)
+        return rel
+
+    def _eval_seeded_closure(self, node: SeededClosure) -> _Rel:
+        """One BFS from the pinned endpoint: O(edges) time and O(reach)
+        memory — what makes single-source reachability (the GAP
+        sentence) flat in n."""
+        n = self.n
+        seed = node.constant.resolve(n)
+        if not 0 <= seed < n:
+            return _empty(2)
+        self._check_ahead(n)
+        edges = self.eval(node.body)
+        offsets, targets = _csr_of(edges, n)
+        if node.deterministic:
+            offsets, targets = _functional_csr(offsets, targets, n)
+        if node.endpoint == 1:
+            offsets, targets = transpose_csr(offsets, targets, n)
+        reached = reach_from_csr(offsets, targets, n, seed,
+                                 governor=self.governor)
+        if node.endpoint == 0:
+            rel = _Rel(2, "s", {seed: set(reached)})
+        else:
+            rel = _Rel(2, "s", {source: {seed} for source in reached})
         self._note(rel)
         return rel
 
@@ -879,6 +889,7 @@ class _Interpreter:
         JoinProject: _eval_join,
         CountSelect: _eval_count,
         Closure: _eval_closure,
+        SeededClosure: _eval_seeded_closure,
         Cumulative: _eval_cumulative,
         Fixpoint: _eval_fixpoint,
     }

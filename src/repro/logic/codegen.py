@@ -58,11 +58,13 @@ from repro.core.columnar import (
     closure_adjacency,
     compose,
     count_per_source,
+    iter_bits,
     mask_rows_source,
     mask_rows_target,
     or_rows,
     proj_source,
     proj_target,
+    reach_from,
     rows_of_adjacency,
     rows_of_bits,
     transpose,
@@ -92,6 +94,7 @@ from .plan import (
     Project,
     RelationScan,
     Rename,
+    SeededClosure,
     Select,
     SemiJoin,
     Shared,
@@ -591,6 +594,26 @@ def _select_r_fn(comparisons: tuple, n: int) -> Callable:
     return fn
 
 
+def _seeded_rows(adjacency: list[int], n: int, seed: int, endpoint: int,
+                 deterministic: bool, governor) -> list[int]:
+    """A :class:`~repro.logic.plan.SeededClosure` over bitmask rows: one
+    :func:`~repro.core.columnar.reach_from` BFS from ``seed``, over the
+    transposed rows when the target is the pinned endpoint."""
+    out = [0] * n
+    if not 0 <= seed < n:
+        return out
+    if deterministic:
+        adjacency = [row if row.bit_count() == 1 else 0 for row in adjacency]
+    if endpoint == 0:
+        out[seed] = reach_from(adjacency, seed, governor)
+        return out
+    bit = 1 << seed
+    for source in iter_bits(reach_from(transpose(adjacency, n), seed,
+                                       governor)):
+        out[source] = bit
+    return out
+
+
 # ----------------------------------------------------------------- emitter
 
 
@@ -726,6 +749,8 @@ class _Emitter:
             if node.k == 1:
                 return self._emit_closure(node, tag)
             return self._emit_island(node, tag)
+        if isinstance(node, SeededClosure):
+            return self._emit_seeded_closure(node, tag)
         if isinstance(node, Shared):
             return self._emit_shared(node)
         if isinstance(node, Cumulative):
@@ -991,6 +1016,19 @@ class _Emitter:
         n, deterministic = self.n, node.deterministic
         fn = self.bind(lambda rows, rt: closure_adjacency(
             rows, n, deterministic=deterministic, governor=rt.gov))
+        var = self.fresh()
+        self.emit(f"{var} = {fn}({body_var}, rt)")
+        self.note(var, tag)
+        return var, tag
+
+    def _emit_seeded_closure(self, node: SeededClosure, tag: str
+                             ) -> tuple[str, str]:
+        self.emit(f"_ca(rt, {self.n})")
+        body_var, _ = self.emit_plan(node.body)
+        n = self.n
+        seed = node.constant.resolve(n)
+        fn = self.bind(lambda rows, rt: _seeded_rows(
+            rows, n, seed, node.endpoint, node.deterministic, rt.gov))
         var = self.fresh()
         self.emit(f"{var} = {fn}({body_var}, rt)")
         self.note(var, tag)

@@ -30,6 +30,13 @@ structure-statistics) pair:
     ``Difference(DomainProduct, φ)`` operand whose columns are already
     covered becomes an :class:`~repro.logic.plan.AntiJoin` against ``φ``
     directly — negation as a probe, not a materialized complement.
+4c. **Demand-driven rewrites** — a selection pinning one endpoint of a
+    k=1 closure to a constant becomes a
+    :class:`~repro.logic.plan.SeededClosure` (one BFS from the constant
+    instead of the all-pairs closure).  Its formula-level twin runs
+    before lowering: an LFP whose constant argument meets an *invariant*
+    fixed-point variable drops that argument (``gap`` and ``agap`` become
+    unary fixed points).  Both fire only on constant pins.
 5.  **Semi-naive delta rewriting** — every ``Fixpoint`` body is
     differentiated with respect to its own relation:
     ``d(plan)`` is the union over the auxiliary's occurrences of the plan
@@ -65,11 +72,35 @@ from repro.structures.structure import Structure
 from repro.testing.chaos import chaos_point
 
 from .compile import compile_formula
-from .formula import Formula, pretty
+from .formula import (
+    And,
+    AuxAtom,
+    ConstTerm,
+    CountAtLeast,
+    DTCAtom,
+    EqAtom,
+    Exists,
+    Forall,
+    Formula,
+    Implies,
+    LeqAtom,
+    LFPAtom,
+    Not,
+    Or,
+    RelAtom,
+    TCAtom,
+    Term,
+    VarTerm,
+    pretty,
+    walk_formula,
+)
 from .plan import (
     AntiJoin,
     AuxScan,
     Closure,
+    Col,
+    Comparison,
+    Const,
     ConstrainedDomain,
     CountSelect,
     Cumulative,
@@ -85,6 +116,7 @@ from .plan import (
     Project,
     RelationScan,
     Rename,
+    SeededClosure,
     Select,
     SemiJoin,
     Shared,
@@ -216,7 +248,7 @@ def estimate(plan: Plan, cost: CostModel, memo: dict | None = None) -> float:
         value = sub(plan.left)
     elif isinstance(plan, CountSelect):
         value = min(sub(plan.child), cap) / 2
-    elif isinstance(plan, (Fixpoint, Closure)):
+    elif isinstance(plan, (Fixpoint, Closure, SeededClosure)):
         value = cap / 2
     else:  # pragma: no cover - future node kinds estimate pessimistically
         value = cap
@@ -284,6 +316,8 @@ def _with_children(plan: Plan, children: Sequence[Plan]) -> Plan:
         return Fixpoint(plan.relation, plan.variables, children[0], delta)
     if isinstance(plan, Closure):
         return Closure(children[0], plan.k, plan.deterministic)
+    if isinstance(plan, SeededClosure):
+        return replace(plan, body=children[0])
     if isinstance(plan, Shared):
         return Shared(children[0], plan.volatile)
     if isinstance(plan, Cumulative):
@@ -694,6 +728,169 @@ def _fuse_kernels(plan: Plan) -> Plan:
     return _rewrite(plan, rule)
 
 
+# ------------------------------------- 4c. demand-driven rewrites
+#
+# Both rewrites fire only on a *constant* pin (``0`` or ``max``): a
+# single-pair query such as GAP asks about one endpoint, so computing the
+# relation for every endpoint and selecting one pair afterwards is waste.
+# The plan rewrite turns a pinned closure into one BFS; the formula rewrite
+# (below, run before lowering) drops a pinned fixed-point argument that
+# the body passes through unchanged.
+
+
+def _seed_closures(plan: Plan) -> Plan:
+    return _rewrite(plan, _seed_closure_node)
+
+
+def _seed_closure_node(plan: Plan) -> Plan:
+    """``Select[$0 = c]`` / ``Select[$1 = c]`` over a k=1 closure (through
+    ``Shared``) becomes a :class:`~repro.logic.plan.SeededClosure`; every
+    other comparison stays in the selection.  A pinned source wins over a
+    pinned target (forward BFS needs no transposed edges)."""
+    if not isinstance(plan, Select):
+        return plan
+    closure = plan.child
+    while isinstance(closure, Shared):
+        closure = closure.child
+    if not isinstance(closure, Closure) or closure.k != 1:
+        return plan
+    for endpoint in (0, 1):
+        for index, comparison in enumerate(plan.comparisons):
+            constant = _pinned_constant(comparison, endpoint)
+            if constant is None:
+                continue
+            seeded = SeededClosure(closure.body, closure.deterministic,
+                                   endpoint, constant)
+            rest = plan.comparisons[:index] + plan.comparisons[index + 1:]
+            return Select(seeded, rest) if rest else seeded
+    return plan
+
+
+def _pinned_constant(comparison: Comparison, column: int) -> Const | None:
+    """The constant ``comparison`` pins ``column`` to, if it is
+    ``$column = c`` (either way round)."""
+    if comparison.op != "eq":
+        return None
+    for here, there in ((comparison.left, comparison.right),
+                        (comparison.right, comparison.left)):
+        if here == Col(column) and isinstance(there, Const):
+            return there
+    return None
+
+
+def _demand_formula(formula: Formula) -> Formula:
+    """``formula`` with every LFP reduced in arity wherever a constant
+    argument meets an invariant fixed-point variable (bottom-up, so nested
+    fixed points reduce first).  Returns ``formula`` itself when nothing
+    fires.
+
+    ``LFP[R(x1..xk) := φ](t1..tk)`` with ``ti`` a constant and ``xi``
+    *invariant* in φ — every ``R`` atom in φ carries ``xi`` itself in
+    position i, and nothing in φ rebinds ``xi`` or ``R`` — becomes
+    ``LFP[R'(.. no xi ..) := φ[xi := ti]](.. no ti ..)`` over a fresh
+    ``R'``, with position i dropped from every ``R`` atom.  Sound by
+    induction on the stages: stage m of ``R`` restricted to ``xi = ti``
+    equals stage m of ``R'``, because φ only ever reads ``R`` at rows whose
+    i-th entry is ``xi`` (see DESIGN.md, "Demand-driven rewrites")."""
+    rebuilt = _map_subformulas(formula, _demand_formula)
+    if isinstance(rebuilt, LFPAtom):
+        rebuilt = _reduce_lfp(rebuilt)
+    return rebuilt
+
+
+def _map_subformulas(formula: Formula, rewrite) -> Formula:
+    """``formula`` with ``rewrite`` applied to each direct subformula
+    (the same object back when no subformula changed)."""
+    if isinstance(formula, (Not, Exists, Forall, CountAtLeast, LFPAtom,
+                            TCAtom, DTCAtom)):
+        body = rewrite(formula.body)
+        return formula if body is formula.body else replace(formula, body=body)
+    if isinstance(formula, (And, Or)):
+        parts = formula.conjuncts if isinstance(formula, And) \
+            else formula.disjuncts
+        new = tuple(rewrite(part) for part in parts)
+        if all(a is b for a, b in zip(new, parts)):
+            return formula
+        return type(formula)(new)
+    if isinstance(formula, Implies):
+        antecedent = rewrite(formula.antecedent)
+        consequent = rewrite(formula.consequent)
+        if antecedent is formula.antecedent and \
+                consequent is formula.consequent:
+            return formula
+        return Implies(antecedent, consequent)
+    return formula
+
+
+def _reduce_lfp(lfp: LFPAtom) -> LFPAtom:
+    while True:
+        for position, term in enumerate(lfp.terms):
+            if isinstance(term, ConstTerm) and _is_invariant(lfp, position):
+                lfp = _drop_argument(lfp, position)
+                break
+        else:
+            return lfp
+
+
+def _is_invariant(lfp: LFPAtom, position: int) -> bool:
+    """Whether fixed-point variable ``position`` of ``lfp`` passes through
+    its body unchanged (the syntactic condition of :func:`_demand_formula`;
+    conservative: any rebinding of the variable or the relation refuses)."""
+    relation, variable = lfp.relation, lfp.variables[position]
+    arity = len(lfp.variables)
+    for node in walk_formula(lfp.body):
+        if isinstance(node, AuxAtom) and node.name == relation:
+            if len(node.terms) != arity or \
+                    node.terms[position] != VarTerm(variable):
+                return False
+        elif isinstance(node, (Exists, Forall, CountAtLeast)):
+            if node.variable == variable:
+                return False
+        elif isinstance(node, LFPAtom):
+            if node.relation == relation or variable in node.variables:
+                return False
+        elif isinstance(node, (TCAtom, DTCAtom)):
+            if variable in node.source_variables + node.target_variables:
+                return False
+    return True
+
+
+def _drop_argument(lfp: LFPAtom, position: int) -> LFPAtom:
+    variable, constant = lfp.variables[position], lfp.terms[position]
+    taken = {node.name for node in walk_formula(lfp.body)
+             if isinstance(node, AuxAtom)}
+    taken |= {node.relation for node in walk_formula(lfp.body)
+              if isinstance(node, LFPAtom)}
+    fresh = f"{lfp.relation}[{variable}={constant}]"
+    while fresh in taken:
+        fresh += "'"
+
+    def drop(terms: tuple) -> tuple:
+        return terms[:position] + terms[position + 1:]
+
+    def pin(term: Term) -> Term:
+        return constant if term == VarTerm(variable) else term
+
+    def substitute(node: Formula) -> Formula:
+        if isinstance(node, AuxAtom) and node.name == lfp.relation:
+            return AuxAtom(fresh, tuple(map(pin, drop(node.terms))))
+        if isinstance(node, (RelAtom, AuxAtom)):
+            return replace(node, terms=tuple(map(pin, node.terms)))
+        if isinstance(node, (EqAtom, LeqAtom)):
+            return replace(node, left=pin(node.left), right=pin(node.right))
+        node = _map_subformulas(node, substitute)
+        if isinstance(node, LFPAtom):
+            return replace(node, terms=tuple(map(pin, node.terms)))
+        if isinstance(node, (TCAtom, DTCAtom)):
+            return replace(node,
+                           source_terms=tuple(map(pin, node.source_terms)),
+                           target_terms=tuple(map(pin, node.target_terms)))
+        return node
+
+    return LFPAtom(fresh, drop(lfp.variables), substitute(lfp.body),
+                   drop(lfp.terms))
+
+
 # --------------------------------- 5. semi-naive delta rewriting
 
 
@@ -732,7 +929,7 @@ def _is_monotone(plan: Plan, relation: str) -> bool:
         # is monotone in the outer relation and in its own.
         return _is_monotone(plan.body, relation) and \
             _is_monotone(plan.body, plan.relation)
-    if isinstance(plan, Closure):
+    if isinstance(plan, (Closure, SeededClosure)):
         # The DTC reading is non-monotone: a second out-edge *removes* the
         # deterministic edge.
         return not plan.deterministic and _is_monotone(plan.body, relation)
@@ -844,6 +1041,10 @@ def _rewrite_fixpoints(plan: Plan) -> Plan:
 # ------------------------------------- 6. common-subplan sharing
 
 
+#: The nodes whose body runs to a fixed point or a closure.
+_RECURSIVE = (Fixpoint, Closure, SeededClosure)
+
+
 def _share(plan: Plan) -> Plan:
     counts: Counter = Counter()
 
@@ -873,14 +1074,14 @@ def _share(plan: Plan) -> Plan:
                 return Shared(node)
             # Unique and outside any fixed point: sharing buys nothing.
         elif counts[node] > 1 and node.children() and \
-                not isinstance(node, (Fixpoint, Closure)):
+                not isinstance(node, _RECURSIVE):
             # Auxiliary-dependent but repeated within the plan (the stage
             # relation's reversal, say): share per round.
             return Shared(node, volatile=True)
         children = node.children()
         if not children:
             return node
-        inner = in_fixpoint or isinstance(node, (Fixpoint, Closure))
+        inner = in_fixpoint or isinstance(node, _RECURSIVE)
         rebuilt = tuple(wrap(child, inner) for child in children)
         if any(new is not old for new, old in zip(rebuilt, children)):
             return _with_children(node, rebuilt)
@@ -891,7 +1092,7 @@ def _share(plan: Plan) -> Plan:
     children = plan.children()
     if not children:
         return plan
-    inner = isinstance(plan, (Fixpoint, Closure))
+    inner = isinstance(plan, _RECURSIVE)
     rebuilt = tuple(wrap(child, inner) for child in children)
     if any(new is not old for new, old in zip(rebuilt, children)):
         plan = _with_children(plan, rebuilt)
@@ -926,6 +1127,7 @@ def optimize_plan(plan: Plan, cost: CostModel, governor=None) -> Plan:
         ("reorder", lambda rewritten: _reorder(rewritten, cost)),
         ("simplify", _simplify),
         ("fuse", _fuse_kernels),
+        ("demand", _seed_closures),
         ("delta", _rewrite_fixpoints),
         ("share", _share),
     )
@@ -964,11 +1166,32 @@ def _optimized(formula: Formula, variables: tuple[str, ...] | None,
     if plan is None:
         if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
             _PLAN_CACHE.clear()
-        plan = optimize_plan(compile_formula(formula, variables),
+        plan = optimize_plan(_demand_lowered(formula, variables),
                              CostModel(cost_key[0], dict(cost_key[1])),
                              governor=governor)
         _PLAN_CACHE[key] = plan
     return plan
+
+
+def _demand_lowered(formula: Formula, variables: tuple[str, ...] | None
+                    ) -> Plan:
+    """The compiled plan of ``formula`` after the demand formula rewrite
+    (chaos point ``optimize.formula.demand``; corrupt: the rewritten
+    formula gains a free variable), checked against the layout of the
+    formula as written."""
+    lowered = compile_formula(formula, variables)
+    demanded = chaos_point(
+        "optimize.formula.demand", _demand_formula(formula),
+        corrupt=lambda rewritten: And((rewritten, EqAtom(
+            VarTerm("$corrupt"), VarTerm("$corrupt")))))
+    if demanded is formula:
+        return lowered
+    rewritten = compile_formula(demanded, variables)
+    if rewritten.columns != lowered.columns:
+        raise PlanInvariantError(
+            f"demand rewrite changed the output layout: {lowered.columns} "
+            f"-> {rewritten.columns}")
+    return rewritten
 
 
 def optimize_formula(formula: Formula, structure: Structure,
@@ -991,6 +1214,7 @@ def explain_optimized(formula: Formula, structure: Structure,
     logical = compile_formula(formula,
                               tuple(variables) if variables is not None else None)
     optimized = optimize_formula(formula, structure, variables)
+    demanded = _demand_formula(formula)
     cost = CostModel.from_structure(structure)
     memo: dict = {}
 
@@ -1000,8 +1224,10 @@ def explain_optimized(formula: Formula, structure: Structure,
     def indent(text: str) -> str:
         return "\n".join("  " + line for line in text.splitlines())
 
+    rewritten = "" if demanded is formula else \
+        "\ndemand-rewritten formula:\n" + pretty(demanded, indent=1)
     return (
-        "formula:\n" + pretty(formula, indent=1)
+        "formula:\n" + pretty(formula, indent=1) + rewritten
         + "\nlogical plan:\n" + indent(logical.explain())
         + "\noptimized plan:\n" + indent(optimized.explain(annotate))
     )
@@ -1055,7 +1281,7 @@ def _is_monotone_relation(plan: Plan, relation: str) -> bool:
     if isinstance(plan, Fixpoint):
         return _is_monotone_relation(plan.body, relation) and \
             _is_monotone(plan.body, plan.relation)
-    if isinstance(plan, Closure):
+    if isinstance(plan, (Closure, SeededClosure)):
         return not plan.deterministic and \
             _is_monotone_relation(plan.body, relation)
     return False

@@ -33,6 +33,7 @@ The nodes:
 :class:`CountSelect`         grouped counting (the ``exists>=t`` quantifier)
 :class:`Fixpoint`            LFP, optionally with a delta-rewritten body
 :class:`Closure`             TC/DTC via the engine's semi-naive closure kernel
+:class:`SeededClosure`       the closure rows with one endpoint pinned: one BFS
 :class:`Shared`              a common subplan memoized per execution
 :class:`Cumulative`          a monotone subplan maintained incrementally
                              across fixed-point rounds
@@ -46,7 +47,8 @@ fixed-point nodes reuse the PR 3 delta-propagating kernels through
 whole logic layer bottoms out in the same relational machinery as the
 query baselines.  The second half of the node table
 (:class:`ConstrainedDomain`, :class:`SemiJoin`, :class:`AntiJoin`,
-:class:`DeltaScan`, :class:`Shared`, ``Fixpoint.delta_body``) is never
+:class:`DeltaScan`, :class:`SeededClosure`, :class:`Shared`,
+``Fixpoint.delta_body``) is never
 emitted by the compiler directly: those nodes are introduced by the
 rewrite passes of :mod:`repro.logic.optimize`.
 
@@ -98,6 +100,7 @@ __all__ = [
     "CountSelect",
     "Fixpoint",
     "Closure",
+    "SeededClosure",
     "Shared",
     "Cumulative",
 ]
@@ -228,6 +231,10 @@ class Const:
     """One of the two constant symbols: ``"zero"`` or ``"max"`` (n-1)."""
 
     which: str
+
+    def resolve(self, size: int) -> int:
+        """The element this constant names in a universe of ``size``."""
+        return 0 if self.which == "zero" else size - 1
 
 
 _OPERATORS = {
@@ -1150,6 +1157,83 @@ class Closure(Plan):
     def label(self) -> str:
         operator = "DTC" if self.deterministic else "TC"
         return f"Closure[{operator}, k={self.k}] -> {self._layout()}"
+
+
+@dataclass(frozen=True)
+class SeededClosure(Plan):
+    """The rows of a k=1 :class:`Closure` whose ``endpoint`` column (0 for
+    the source, 1 for the target) equals ``constant`` — what the
+    optimizer's demand pass makes of ``Select[$0 = c]`` or
+    ``Select[$1 = c]`` over a closure.
+
+    One BFS from ``c``: forward over the edges for a pinned source, over
+    the transposed edges for a pinned target.  That is O(edges) work and
+    at most ``n`` rows instead of the all-pairs closure.
+    ``deterministic`` first keeps only unique-successor edges (the DTC
+    reading), before any transposition.  Reflexive like :class:`Closure`:
+    ``(c, c)`` is a row whenever ``c`` is in the universe.
+
+    A node of its own rather than a flag on :class:`Closure`, so that
+    nothing which patches a *full* closure (incremental maintenance) can
+    mistake the seeded subset for one.
+    """
+
+    body: Plan
+    deterministic: bool
+    endpoint: int
+    constant: Const
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return _positional(2)
+
+    def children(self) -> tuple[Plan, ...]:
+        return (self.body,)
+
+    def _run(self, context: ExecutionContext) -> IndexedRelation:
+        size = context.structure.size
+        seed = self.constant.resolve(size)
+        if not 0 <= seed < size:
+            return IndexedRelation(arity=2)
+        governor = context.governor
+        if governor is not None:
+            governor.check_rows_ahead(size)
+        successors: dict[int, list[int]] = {}
+        for source, target in self.body.execute(context).rows:
+            successors.setdefault(source, []).append(target)
+        if self.deterministic:
+            successors = {source: targets
+                          for source, targets in successors.items()
+                          if len(targets) == 1}
+        if self.endpoint == 1:
+            converse: dict[int, list[int]] = {}
+            for source, targets in successors.items():
+                for target in targets:
+                    converse.setdefault(target, []).append(source)
+            successors = converse
+        reached = {seed}
+        frontier = [seed]
+        while frontier:
+            if governor is not None:
+                governor.note_round()
+            step = []
+            for node in frontier:
+                for successor in successors.get(node, ()):
+                    if successor not in reached:
+                        reached.add(successor)
+                        step.append(successor)
+            frontier = step
+        if self.endpoint == 0:
+            rows = {(seed, target) for target in reached}
+        else:
+            rows = {(source, seed) for source in reached}
+        return IndexedRelation.adopt(rows, arity=2)
+
+    def label(self) -> str:
+        operator = "DTC" if self.deterministic else "TC"
+        pinned = Comparison("eq", Col(self.endpoint), self.constant)
+        return (f"SeededClosure[{operator}, "
+                f"{pinned.describe(self.columns)}] -> {self._layout()}")
 
 
 @dataclass(frozen=True)

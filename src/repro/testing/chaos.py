@@ -15,8 +15,13 @@ injection point             where it fires
                             is built over a wrong-arity row)
 ``optimize.pass.<name>``    before each optimizer pass (``simplify``,
                             ``pushdown``, ``prune``, ``reorder``, ``fuse``,
-                            ``delta``, ``share``); corrupt: the pass
-                            returns a plan with the wrong output columns
+                            ``demand``, ``delta``, ``share``); corrupt: the
+                            pass returns a plan with the wrong output
+                            columns
+``optimize.formula.demand`` once per formula optimization, after the
+                            demand (LFP arity) rewrite; corrupt: the
+                            rewritten formula gains a free variable, so
+                            its plan has the wrong output columns
 ``plan.fixpoint.round``     once per fixpoint round (corrupt: a
                             wrong-arity row is smuggled into the round's
                             derived rows)
@@ -76,8 +81,10 @@ INJECTION_POINTS: tuple[str, ...] = (
     "optimize.pass.prune",
     "optimize.pass.reorder",
     "optimize.pass.fuse",
+    "optimize.pass.demand",
     "optimize.pass.delta",
     "optimize.pass.share",
+    "optimize.formula.demand",
     "plan.fixpoint.round",
     "engine.memo.store",
     "ivm.dred.overdelete",

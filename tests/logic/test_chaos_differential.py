@@ -23,8 +23,10 @@ from repro.testing.chaos import INJECTION_POINTS, ChaosError, Fault
 from test_plan_differential import FREE_VARIABLES, FormulaGenerator
 
 #: Queries that between them exercise joins, LFP fixpoints, TC closures,
-#: the full optimizer pipeline and the checker's memo stores.
-CHAOS_QUERIES = ("tc", "apath")
+#: the full optimizer pipeline (both demand rewrites included: ``reach``
+#: seeds its closure, ``agap`` drops its invariant fixpoint argument) and
+#: the checker's memo stores.
+CHAOS_QUERIES = ("tc", "apath", "reach", "agap")
 
 
 def _oracle(name, structure):

@@ -48,11 +48,14 @@ def random_changesets(rng, size, steps):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", ["tc", "apath", "half-out"])
+@pytest.mark.parametrize("name", ["tc", "apath", "half-out",
+                                  "reach", "gap", "agap"])
 @pytest.mark.parametrize("seed", range(4))
 def test_canonical_queries_survive_update_sequences(name, backend, seed):
     """tc exercises the closure patch, apath the recompute fallback,
-    half-out the counting drop — on every backend, against the oracle."""
+    half-out the counting drop, and reach/gap/agap the demand-rewritten
+    plans (a seeded closure, unary fixed points) — on every backend,
+    against the oracle."""
     query = CANONICAL_QUERIES[name]
     structure = random_alternating_graph(5, seed=seed)
     checker = ModelChecker(structure, backend=backend)

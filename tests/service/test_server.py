@@ -9,9 +9,11 @@ pool); one end-to-end slice runs over real HTTP, and one over the
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -200,6 +202,69 @@ def test_http_rejects_non_json_bodies(http_server):
         assert b"not valid JSON" in response.read()
     finally:
         connection.close()
+
+
+class _SendCounter(io.RawIOBase):
+    """The write side of a fake socket: one entry per send."""
+
+    def __init__(self):
+        self.sends: list[bytes] = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.sends.append(bytes(data))
+        return len(data)
+
+
+class _FakeConnection:
+    """Just enough socket for ``StreamRequestHandler.setup``: requests are
+    read from bytes, and every send the handler makes is recorded whether
+    it writes through a buffered file or straight to ``sendall``.  The
+    disconnect watcher polls an idle socket pair that never reports EOF."""
+
+    def __init__(self, incoming: bytes, idle):
+        self.incoming = incoming
+        self.out = _SendCounter()
+        self.fileno = idle.fileno
+        self.recv = idle.recv
+
+    def makefile(self, mode: str, buffering: int = -1):
+        if "r" in mode:
+            return io.BufferedReader(io.BytesIO(self.incoming))
+        return io.BufferedWriter(self.out)
+
+    def sendall(self, data) -> None:
+        self.out.write(data)
+
+
+def test_keep_alive_replies_leave_in_one_send_each(service):
+    """Headers and body of a reply must leave in a single send: split in
+    two, Nagle's algorithm and the client's delayed ACK stall every
+    request on a keep-alive connection by about 40 ms."""
+    from repro.service.server import _Handler
+
+    handler = type("Counted", (_Handler,), {"service": service,
+                                            "log_message": lambda *a: None})
+    request = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+    body = json.dumps({"structure": "g", "query": "tc"}).encode()
+    query = (b"POST /query HTTP/1.1\r\nHost: x\r\n"
+             b"Content-Type: application/json\r\n"
+             + f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+    idle, peer = socket.socketpair()
+    try:
+        connection = _FakeConnection(request + query + request, idle)
+        handler(connection, ("127.0.0.1", 0), None)
+    finally:
+        idle.close()
+        peer.close()
+    sends = connection.out.sends
+    assert len(sends) == 3, [send[:40] for send in sends]
+    for send in sends:
+        head, _, payload = send.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(payload)["ok"] is not False
 
 
 # ------------------------------------------------------ the serve CLI
