@@ -193,6 +193,9 @@ class Session:
         ``compiled`` and ``interp`` run the semi-naive kernels; the
         ``reference`` backend keeps the naive full-re-derivation strategy
         as the differential oracle (DESIGN.md, "Semi-naive evaluation").
+        In the logic layer it reaches only the tuple backend, which is
+        also what ``reference`` evaluates formulas with; the plan
+        executors have a single fixed-point loop.
         """
         return self.backend != "reference"
 
@@ -246,7 +249,8 @@ class Session:
     def define_relation(self, formula, structure, variables,
                         memoize: bool = True) -> frozenset:
         """:func:`repro.logic.eval.define_relation` with the logic backend
-        and fixed-point strategy picked by this session's backend."""
+        and fixed-point strategy picked by this session's backend (the
+        strategy matters to the tuple backend only)."""
         from repro.logic.eval import define_relation
         return define_relation(formula, structure, tuple(variables),
                                memoize=memoize, seminaive=self.seminaive,

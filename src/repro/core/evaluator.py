@@ -328,19 +328,6 @@ class Evaluator:
 
     # ------------------------------------------------------------- reducers
 
-    def _apply_lambda(self, fn: Lambda, first: Value, second: Value,
-                      env: Environment) -> Value:
-        """Apply a two-parameter lambda.
-
-        Per rule 9, only the lambda's own parameters may occur free in its
-        body (everything else must be threaded through ``extra``), but the
-        paper's own example programs freely reference the input relations
-        (e.g. ``EDGES`` in Lemma 3.6), so database names and function
-        definitions remain visible.  Enclosing lambda parameters do *not*.
-        """
-        scope = Environment(env.database, {fn.params[0]: first, fn.params[1]: second})
-        return self.evaluate(fn.body, scope)
-
     def _reduce_loop(self, expr: SetReduce | ListReduce, items: Sequence[Value],
                      base: Value, extra: Value, env: Environment,
                      is_set_reduce: bool) -> Value:

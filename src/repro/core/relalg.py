@@ -181,10 +181,6 @@ class IndexedRelation:
                     del index[key]
         return True
 
-    def discard_all(self, rows: Iterable[Sequence]) -> int:
-        """Bulk :meth:`discard`; returns how many rows were present."""
-        return sum(self.discard(row) for row in rows)
-
     # -------------------------------------------------------------- deltas
 
     @property

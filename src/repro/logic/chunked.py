@@ -187,12 +187,11 @@ def _csr_of(rel: _Rel, n: int) -> tuple:
 class _Interpreter:
     """One execution of one plan over one structure."""
 
-    def __init__(self, structure, auxiliary, seminaive: bool,
-                 stats: PlanStats | None, governor):
+    def __init__(self, structure, auxiliary, stats: PlanStats | None,
+                 governor):
         self.n = structure.size
         self.structure = structure
         self.aux = dict(auxiliary or {})
-        self.seminaive = seminaive
         self.stats = stats
         self.governor = governor
         # Fixpoint scope: relation name -> (total _Rel, delta _Rel | None).
@@ -795,28 +794,15 @@ class _Interpreter:
     def _eval_fixpoint(self, node: Fixpoint) -> _Rel:
         arity = len(node.variables)
         relation = node.relation
-        delta_mode = node.delta_body is not None and self.seminaive
+        # The delta body when the optimizer attached one; otherwise every
+        # round re-runs the full body against the total (naive stages).
+        step = node.body if node.delta_body is None else node.delta_body
         saved_scope = self.scope.get(relation)
         saved_round = self.round_memo
         saved_store = self.accumulators
-        self.accumulators = {} if delta_mode else None
+        self.accumulators = {}
         stats, governor = self.stats, self.governor
         try:
-            if not delta_mode:
-                # Naive iteration, inflationary like the engine's fixed-point
-                # kernel: rows once derived stay even for non-monotone bodies.
-                total = self._to_mutable(_empty(arity))
-                while True:
-                    if governor is not None:
-                        governor.note_round()
-                    if stats is not None:
-                        stats.fixpoint_rounds += 1
-                    self.round_memo = {}
-                    self.scope[relation] = (total, None)
-                    fresh = self._fresh_rows(self.eval(node.body), total)
-                    if not fresh.count():
-                        return total
-                    self._union_into(total, fresh)
             before = 0 if stats is None else stats.rows_materialized
             if governor is not None:
                 governor.note_round()
@@ -836,7 +822,7 @@ class _Interpreter:
                 before = 0 if stats is None else stats.rows_materialized
                 self.round_memo = {}
                 self.scope[relation] = (total, delta)
-                derived = self.eval(node.delta_body)
+                derived = self.eval(step)
                 if stats is not None:
                     stats.fixpoint_rounds += 1
                     stats.fixpoint_round_rows.append(
@@ -896,8 +882,8 @@ class _Interpreter:
 
 
 def execute_chunked(plan: Plan, structure, auxiliary=None,
-                    seminaive: bool = True, stats: PlanStats | None = None,
-                    governor=None) -> frozenset:
+                    stats: PlanStats | None = None, governor=None
+                    ) -> frozenset:
     """Evaluate ``plan`` with the chunked interpreter and decode to rows.
 
     The entry :func:`~repro.logic.codegen.execute_columnar` routes here
@@ -905,6 +891,5 @@ def execute_chunked(plan: Plan, structure, auxiliary=None,
     :class:`ChunkedUnsupported` on plan shapes outside the coverage; the
     evaluation ladder turns that into a degradation event.
     """
-    interpreter = _Interpreter(structure, auxiliary, seminaive, stats,
-                               governor)
+    interpreter = _Interpreter(structure, auxiliary, stats, governor)
     return frozenset(interpreter.eval(plan).rows())

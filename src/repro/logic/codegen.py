@@ -22,7 +22,7 @@ dense universe ``0..n-1`` (the interning convention of
             node that degrades to it is recorded on the compiled plan
 ==========  =============================================================
 
-so the codegen cache key ``(plan, n, strategy)`` *is* the representation
+so the codegen cache key ``(plan, n)`` *is* the representation
 signature: it pins every kernel choice the emitter makes.  The cache is
 bounded like the optimizer's plan memo and its hits are surfaced through
 ``PlanStats.codegen_cache_hits``.
@@ -109,7 +109,6 @@ __all__ = [
     "clear_codegen_cache",
     "execute_columnar",
     "representation_of",
-    "set_max_columnar_universe",
 ]
 
 
@@ -134,20 +133,8 @@ def _default_max_universe() -> int:
 #: CSR payloads stay O(edges), so the cap can sit far higher than the
 #: dense default ever could.  The gate refuses universes past this so the
 #: caller's ladder falls back to the set backend.  Override with the
-#: ``REPRO_MAX_COLUMNAR_UNIVERSE`` environment variable (read at import)
-#: or :func:`set_max_columnar_universe`.
+#: ``REPRO_MAX_COLUMNAR_UNIVERSE`` environment variable (read at import).
 MAX_COLUMNAR_UNIVERSE = _default_max_universe()
-
-
-def set_max_columnar_universe(value: int) -> int:
-    """Set the columnar universe cap, returning the previous value (tests
-    and embedders use this to shrink or widen the gate at run time)."""
-    global MAX_COLUMNAR_UNIVERSE
-    if value < 0:
-        raise ValueError(f"columnar universe cap must be >= 0, got {value!r}")
-    previous = MAX_COLUMNAR_UNIVERSE
-    MAX_COLUMNAR_UNIVERSE = value
-    return previous
 
 _KIND = {"0": "unit", "b": "bitset", "r": "csr", "t": "tuples"}
 
@@ -202,13 +189,12 @@ def _raw_of(rows: Iterable[tuple], arity: int, n: int):
 class _Runtime:
     """Everything one execution threads through the generated function."""
 
-    __slots__ = ("n", "structure", "aux", "seminaive", "stats", "gov", "track")
+    __slots__ = ("n", "structure", "aux", "stats", "gov", "track")
 
-    def __init__(self, n, structure, aux, seminaive, stats, gov):
+    def __init__(self, n, structure, aux, stats, gov):
         self.n = n
         self.structure = structure
         self.aux = aux
-        self.seminaive = seminaive
         self.stats = stats
         self.gov = gov
         self.track = stats is not None or gov is not None
@@ -254,15 +240,6 @@ def _round_post(rt, before: int) -> None:
         stats.fixpoint_round_rows.append(stats.rows_materialized - before)
 
 
-def _naive_round(rt) -> None:
-    gov = rt.gov
-    if gov is not None:
-        gov.note_round()
-    stats = rt.stats
-    if stats is not None:
-        stats.fixpoint_rounds += 1
-
-
 def _check_ahead(rt, count: int) -> None:
     gov = rt.gov
     if gov is not None:
@@ -284,7 +261,6 @@ _BASE_NS = {
     "_rows_now": _rows_now,
     "_round_pre": _round_pre,
     "_round_post": _round_post,
-    "_naive_round": _naive_round,
     "_ca": _check_ahead,
     "_sh": _shared_hit,
     "_or_rows": or_rows,
@@ -623,20 +599,16 @@ def _walk(plan: Plan):
         yield from _walk(child)
 
 
-def _delta_mode(node: Fixpoint, seminaive: bool) -> bool:
-    return node.delta_body is not None and seminaive
-
-
-def _scoped_cumulatives(node: Fixpoint, seminaive: bool) -> list[Cumulative]:
+def _scoped_cumulatives(node: Fixpoint) -> list[Cumulative]:
     """The Cumulative nodes whose accumulator belongs to ``node``'s store:
-    everything in its bodies *except* subtrees owned by a nested
-    delta-rewritten fixed point (which runs its own store, exactly like the
-    interpreter's per-fixpoint accumulator dict)."""
+    everything in its bodies *except* subtrees owned by a nested fixed
+    point (which runs its own store, exactly like the interpreter's
+    per-fixpoint accumulator dict)."""
     found: list[Cumulative] = []
     seen: set[int] = set()
 
     def visit(plan: Plan) -> None:
-        if isinstance(plan, Fixpoint) and _delta_mode(plan, seminaive):
+        if isinstance(plan, Fixpoint):
             return
         if isinstance(plan, Cumulative) and id(plan) not in seen:
             seen.add(id(plan))
@@ -659,10 +631,9 @@ class _Emitter:
     census/fallback log reported on the compiled plan.
     """
 
-    def __init__(self, n: int, seminaive: bool):
+    def __init__(self, n: int):
         self.n = n
         self.full = (1 << n) - 1
-        self.seminaive = seminaive
         self.lines: list[str] = []
         self.indent = 1
         self.ns: dict = dict(_BASE_NS)
@@ -1046,8 +1017,7 @@ class _Emitter:
             self.scope[name] = previous
 
     def _emit_fixpoint(self, node: Fixpoint, tag: str) -> tuple[str, str]:
-        arity = len(node.variables)
-        ftag = _tag(arity)
+        ftag = _tag(len(node.variables))
         # Hoist round-invariant shared subplans above the loop (they are
         # auxiliary-free by the optimizer's contract, so this is the memo
         # the interpreter keeps, paid before round one instead of during).
@@ -1055,14 +1025,8 @@ class _Emitter:
             if isinstance(shared, Shared) and not shared.volatile \
                     and shared.child not in self.global_cse:
                 self._emit_shared(shared)
-        if _delta_mode(node, self.seminaive):
-            return self._emit_fixpoint_delta(node, tag, arity, ftag)
-        return self._emit_fixpoint_naive(node, tag, arity, ftag)
-
-    def _emit_fixpoint_delta(self, node: Fixpoint, tag: str, arity: int,
-                             ftag: str) -> tuple[str, str]:
         store: dict[Cumulative, str] = {}
-        for cumulative in _scoped_cumulatives(node, self.seminaive):
+        for cumulative in _scoped_cumulatives(node):
             store[cumulative] = acc = self.fresh("acc")
             self.emit(f"{acc} = None")
         self.cumulative_stack.append(store)
@@ -1086,7 +1050,8 @@ class _Emitter:
         else:
             self.emit(f"{total} = {body_var}")
         self.emit(f"{delta} = {body_var}")
-        # Later rounds: only the delta body, against the frontier.
+        # Later rounds: the delta body against the frontier, or — when the
+        # optimizer attached none — the full body again (naive stages).
         if ftag == "r":
             self.emit(f"while any({delta}):")
         else:
@@ -1096,7 +1061,8 @@ class _Emitter:
         self.emit(f"{before} = _rows_now(rt)")
         self._bind_scope(node.relation, (total, delta, ftag))
         self.round_cse.append({})
-        derived_var, _ = self.emit_plan(node.delta_body)
+        step = node.body if node.delta_body is None else node.delta_body
+        derived_var, _ = self.emit_plan(step)
         self.round_cse.pop()
         self.emit(f"_round_post(rt, {before})")
         if ftag == "r":
@@ -1113,33 +1079,6 @@ class _Emitter:
         self.indent -= 1
         self._restore_scope(node.relation, previous)
         self.cumulative_stack.pop()
-        self.note(total, ftag)
-        return total, tag
-
-    def _emit_fixpoint_naive(self, node: Fixpoint, tag: str, arity: int,
-                             ftag: str) -> tuple[str, str]:
-        total, new = self.fresh("tot"), self.fresh("new")
-        self.emit(f"{total} = {self.empty_expr(ftag)}")
-        self.emit("while True:")
-        self.indent += 1
-        self.emit("_naive_round(rt)")
-        previous = self._bind_scope(node.relation, (total, None, ftag))
-        body_var, _ = self.emit_plan(node.body)
-        self._restore_scope(node.relation, previous)
-        if ftag == "r":
-            self.emit(f"{new} = [a & ~b for a, b in "
-                      f"zip({body_var}, {total})]")
-            self.emit(f"if not any({new}): break")
-            self.emit(f"{total} = [a | b for a, b in zip({total}, {new})]")
-        elif ftag == "t":
-            self.emit(f"{new} = {body_var} - {total}")
-            self.emit(f"if not {new}: break")
-            self.emit(f"{total} |= {new}")
-        else:
-            self.emit(f"{new} = {body_var} & ~{total}")
-            self.emit(f"if not {new}: break")
-            self.emit(f"{total} |= {new}")
-        self.indent -= 1
         self.note(total, ftag)
         return total, tag
 
@@ -1206,8 +1145,8 @@ class _Emitter:
                 aux[name] = frozenset(_rows_of(total_raw, bound_tag))
                 if delta_raw is not None:
                     delta[name] = frozenset(_rows_of(delta_raw, bound_tag))
-            context = ExecutionContext(rt.structure, aux, rt.seminaive,
-                                       delta, rt.stats, {}, {}, None, rt.gov)
+            context = ExecutionContext(rt.structure, aux, delta, rt.stats,
+                                       {}, {}, None, rt.gov)
             return _raw_of(node.execute(context).rows, arity, n)
 
         var = self.fresh()
@@ -1223,15 +1162,13 @@ class CompiledColumnarPlan:
     """One plan, specialized: the generated source, the executable closure,
     and the emission census (representations chosen, tuple fallbacks)."""
 
-    __slots__ = ("plan", "n", "seminaive", "source", "fn", "out_tag",
-                 "representations", "fallbacks")
+    __slots__ = ("plan", "n", "source", "fn", "out_tag", "representations",
+                 "fallbacks")
 
-    def __init__(self, plan: Plan, n: int, seminaive: bool, source: str,
-                 fn: Callable, out_tag: str, representations: dict,
-                 fallbacks: tuple):
+    def __init__(self, plan: Plan, n: int, source: str, fn: Callable,
+                 out_tag: str, representations: dict, fallbacks: tuple):
         self.plan = plan
         self.n = n
-        self.seminaive = seminaive
         self.source = source
         self.fn = fn
         self.out_tag = out_tag
@@ -1244,8 +1181,8 @@ class CompiledColumnarPlan:
         if structure.size != self.n:
             raise ValueError(
                 f"plan compiled for universe {self.n}, got {structure.size}")
-        runtime = _Runtime(self.n, structure, dict(auxiliary or {}),
-                           self.seminaive, stats, governor)
+        runtime = _Runtime(self.n, structure, dict(auxiliary or {}), stats,
+                           governor)
         return frozenset(_rows_of(self.fn(runtime), self.out_tag))
 
     def report(self) -> dict:
@@ -1257,20 +1194,18 @@ class CompiledColumnarPlan:
         }
 
 
-def compile_columnar(plan: Plan, n: int, seminaive: bool = True
-                     ) -> CompiledColumnarPlan:
+def compile_columnar(plan: Plan, n: int) -> CompiledColumnarPlan:
     """Emit and ``exec`` the specialized function for ``plan`` over a
     universe of ``n`` elements."""
-    emitter = _Emitter(n, seminaive)
+    emitter = _Emitter(n)
     var, tag = emitter.emit_plan(plan)
     emitter.emit(f"return {var}")
     source = "def _columnar_plan(rt):\n    _t = rt.track\n" \
         + "\n".join(emitter.lines) + "\n"
     namespace = emitter.ns
     exec(compile(source, f"<columnar-plan:{id(plan):x}>", "exec"), namespace)
-    return CompiledColumnarPlan(plan, n, seminaive, source,
-                                namespace["_columnar_plan"], tag,
-                                emitter.reps, tuple(emitter.fallbacks))
+    return CompiledColumnarPlan(plan, n, source, namespace["_columnar_plan"],
+                                tag, emitter.reps, tuple(emitter.fallbacks))
 
 
 # ------------------------------------------------------------------- cache
@@ -1292,19 +1227,19 @@ def clear_codegen_cache() -> None:
         _CODEGEN_CACHE.clear()
 
 
-def compiled_columnar(plan: Plan, n: int, seminaive: bool = True,
-                      stats: PlanStats | None = None) -> CompiledColumnarPlan:
-    """The cached compiled form of ``(plan, n, strategy)`` — the
-    representation signature.  Hits are counted on ``stats``, which also
-    receives the plan's representation report (``columnar_report``)."""
-    key = (plan, n, seminaive)
+def compiled_columnar(plan: Plan, n: int, stats: PlanStats | None = None
+                      ) -> CompiledColumnarPlan:
+    """The cached compiled form of ``(plan, n)`` — the representation
+    signature.  Hits are counted on ``stats``, which also receives the
+    plan's representation report (``columnar_report``)."""
+    key = (plan, n)
     with _CODEGEN_LOCK:
         compiled = _CODEGEN_CACHE.get(key)
     if compiled is not None:
         if stats is not None:
             stats.codegen_cache_hits += 1
     else:
-        compiled = compile_columnar(plan, n, seminaive)
+        compiled = compile_columnar(plan, n)
         with _CODEGEN_LOCK:
             if len(_CODEGEN_CACHE) >= _CODEGEN_CACHE_LIMIT:
                 _CODEGEN_CACHE.clear()
@@ -1315,9 +1250,8 @@ def compiled_columnar(plan: Plan, n: int, seminaive: bool = True,
 
 
 def execute_columnar(plan: Plan, structure, auxiliary=None,
-                     seminaive: bool = True, stats: PlanStats | None = None,
-                     governor=None, degradations: list | None = None
-                     ) -> frozenset:
+                     stats: PlanStats | None = None, governor=None,
+                     degradations: list | None = None) -> frozenset:
     """Compile (cached) and run ``plan`` columnar; the one-call entry the
     evaluation ladder uses.
 
@@ -1338,8 +1272,7 @@ def execute_columnar(plan: Plan, structure, auxiliary=None,
         from .chunked import execute_chunked
 
         result = execute_chunked(plan, structure, auxiliary=auxiliary,
-                                 seminaive=seminaive, stats=stats,
-                                 governor=governor)
+                                 stats=stats, governor=governor)
         if stats is not None:
             stats.columnar_report = {
                 "universe": structure.size,
@@ -1348,7 +1281,7 @@ def execute_columnar(plan: Plan, structure, auxiliary=None,
                 "tuple_fallbacks": [],
             }
         return result
-    compiled = compiled_columnar(plan, structure.size, seminaive, stats)
+    compiled = compiled_columnar(plan, structure.size, stats)
     if degradations is not None:
         for label in compiled.fallbacks:
             degradations.append(

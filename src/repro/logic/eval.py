@@ -26,6 +26,9 @@ architecture" and "Semi-naive evaluation"):
   the DTC unique-successor check cuts each source's target sweep off at the
   second witness.  ``seminaive=False`` keeps the naive re-derive-everything
   strategy (the differential oracle the ``reference`` backend preserves).
+  The toggle belongs to the tuple backend alone: the plan executors run
+  one delta loop per fixed point, which re-runs the full body each round
+  (the naive stage iteration) whenever no delta body was attached.
 
 * **Mutate-and-restore quantifiers.**  ``Exists`` / ``Forall`` /
   ``CountAtLeast`` rebind their variable in place on a single assignment
@@ -55,7 +58,7 @@ from repro.testing.chaos import chaos_point
 from .codegen import execute_columnar
 from .compile import compile_formula
 from .optimize import optimize_formula
-from .plan import ExecutionContext, PlanStats
+from .plan import ExecutionContext, PlanStats, RelationScan
 
 from .formula import (
     And,
@@ -182,10 +185,14 @@ class ModelChecker:
     module docstring; leave it on except when measuring the uncached
     baseline.
 
-    ``seminaive`` selects the fixed-point strategy: delta propagation
-    through the engine's semi-naive kernels (the default), or the naive
-    re-derive-everything iteration (the differential oracle and the P2
-    benchmark baseline).  The two are observationally identical.
+    ``seminaive`` selects the tuple backend's fixed-point strategy: delta
+    propagation through the engine's semi-naive kernels (the default), or
+    the naive re-derive-everything iteration (the differential oracle and
+    the P2 benchmark baseline).  The two are observationally identical.
+    The plan executors ignore it (only the tuple-oracle rung at the bottom
+    of their ladder reads it): each has one fixed-point loop, which runs
+    the optimizer's delta body when there is one and the full body
+    otherwise.
 
     ``backend`` selects the evaluation strategy (:data:`LOGIC_BACKENDS`):
     ``"tuple"`` (the default here — the recursive enumeration this class
@@ -377,7 +384,7 @@ class ModelChecker:
 
     def _apply_update_locked(self, changeset) -> "Changeset":
         from .ivm import MaintenanceFallback, maintain, relation_names
-        from .optimize import _depends_on_relation, maintenance_strategy
+        from .optimize import _depends_on, maintenance_strategy
 
         old_relations = dict(self.structure.relations)
         old_size = self.structure.size
@@ -406,7 +413,7 @@ class ModelChecker:
                 self.structure.vocabulary, old_size, old_relations,
                 self.structure.intern)
             for plan_key in list(self._plan_memo):
-                if any(_depends_on_relation(plan_key, name)
+                if any(_depends_on(plan_key, name, RelationScan)
                        for name in changed):
                     del self._plan_memo[plan_key]
             pending = [key for key in self._fixpoint_cache
@@ -436,7 +443,6 @@ class ModelChecker:
                             auxiliary=dict(snapshot),
                             support_check=self._support_oracle(
                                 formula, snapshot, columns, governor),
-                            seminaive=self.seminaive,
                             stats=self.plan_stats, governor=governor,
                             state=self._ivm_state.setdefault(key, {}))
                         value = (columns, patched)
@@ -526,7 +532,7 @@ class ModelChecker:
 
         def context_for() -> ExecutionContext:
             return ExecutionContext(self.structure, dict(self.auxiliary),
-                                    self.seminaive, stats=self.plan_stats,
+                                    stats=self.plan_stats,
                                     memo=self._plan_memo,
                                     governor=self._governor)
 
@@ -535,7 +541,6 @@ class ModelChecker:
             def columnar_for(plan):
                 return execute_columnar(plan, self.structure,
                                         auxiliary=dict(self.auxiliary),
-                                        seminaive=self.seminaive,
                                         stats=self.plan_stats,
                                         governor=self._governor,
                                         degradations=self.degradations)
@@ -855,8 +860,9 @@ def define_relation(formula: Formula, structure: Structure,
     With the default ``backend="tuple"`` (the oracle), one checker is
     reused across all ``n^k`` rows, so any TC/DTC/LFP sub-formula is
     closed over once (when ``memoize``) instead of once per row, and the
-    row assignment is rebound in place.  ``seminaive`` picks the
-    fixed-point strategy either way (see :class:`ModelChecker`).
+    row assignment is rebound in place.  ``seminaive`` picks the tuple
+    backend's fixed-point strategy (see :class:`ModelChecker`); the plan
+    executors ignore it.
 
     A ``budget`` mints a fresh governor for this one definition (either
     backend); plan-side internal failures walk the degradation ladder
@@ -872,14 +878,14 @@ def define_relation(formula: Formula, structure: Structure,
     events: list = degradations if degradations is not None else []
     if backend in ("plan", "columnar"):
         def context_for() -> ExecutionContext:
-            return ExecutionContext(structure, {}, seminaive,
-                                    stats=stats, memo={}, governor=governor)
+            return ExecutionContext(structure, {}, stats=stats, memo={},
+                                    governor=governor)
 
         columnar_for = None
         if backend == "columnar":
             def columnar_for(plan):
-                return execute_columnar(plan, structure, seminaive=seminaive,
-                                        stats=stats, governor=governor,
+                return execute_columnar(plan, structure, stats=stats,
+                                        governor=governor,
                                         degradations=events)
 
         try:

@@ -127,7 +127,6 @@ def maintain(plan: Plan,
              formula: Formula | None = None,
              auxiliary: Mapping[str, frozenset] | None = None,
              support_check=None,
-             seminaive: bool = True,
              stats=None,
              governor=None,
              state: dict | None = None) -> frozenset:
@@ -160,9 +159,8 @@ def maintain(plan: Plan,
         scope = dict(auxiliary or {})
         if extra_aux:
             scope.update(extra_aux)
-        return ExecutionContext(structure, scope, seminaive,
-                                delta or {}, stats, memo={},
-                                accumulators=accumulators,
+        return ExecutionContext(structure, scope, delta or {}, stats,
+                                memo={}, accumulators=accumulators,
                                 governor=governor)
 
     if verdict.strategy == "delta":

@@ -894,65 +894,73 @@ def _drop_argument(lfp: LFPAtom, position: int) -> LFPAtom:
 # --------------------------------- 5. semi-naive delta rewriting
 
 
-def _depends_on(plan: Plan, relation: str) -> bool:
-    """Whether ``plan`` reads the auxiliary ``relation`` (respecting the
-    shadowing of a nested fixed point that rebinds the same name)."""
-    if isinstance(plan, AuxScan):
+def _depends_on(plan: Plan, relation: str, scan: type = AuxScan) -> bool:
+    """Whether ``plan`` reads ``relation`` in the ``scan`` namespace:
+    auxiliary relations (:class:`AuxScan`, the default), respecting the
+    shadowing of a nested fixed point that rebinds the same name, or the
+    structure's base relations (:class:`RelationScan`), which nothing
+    shadows."""
+    if isinstance(plan, scan):
         return plan.name == relation
-    if isinstance(plan, Fixpoint) and plan.relation == relation:
+    if scan is AuxScan and isinstance(plan, Fixpoint) \
+            and plan.relation == relation:
         return False
-    return any(_depends_on(child, relation) for child in plan.children())
+    return any(_depends_on(child, relation, scan)
+               for child in plan.children())
 
 
-def _is_monotone(plan: Plan, relation: str) -> bool:
-    """Whether growing ``relation`` can only grow ``plan``'s value — the
-    polarity analysis licensing :class:`~repro.logic.plan.Cumulative`
-    accumulation (a ``Difference``/``AntiJoin`` flips polarity on its
-    right side; DTC closures and unknown nodes are conservatively
-    non-monotone)."""
-    if not _depends_on(plan, relation):
+def _is_monotone(plan: Plan, relation: str, scan: type = AuxScan) -> bool:
+    """Whether growing ``relation`` (in the ``scan`` namespace, as for
+    :func:`_depends_on`) can only grow ``plan``'s value — the polarity
+    analysis licensing :class:`~repro.logic.plan.Cumulative` accumulation
+    and incremental maintenance (a ``Difference``/``AntiJoin`` flips
+    polarity on its right side; DTC closures and unknown nodes are
+    conservatively non-monotone)."""
+    if not _depends_on(plan, relation, scan):
         return True
-    if isinstance(plan, AuxScan):
+    if isinstance(plan, scan):
         return True
     if isinstance(plan, (Select, Project, Rename, Shared, CountSelect)):
-        return _is_monotone(plan.children()[0], relation)
+        return _is_monotone(plan.children()[0], relation, scan)
     if isinstance(plan, (Join, JoinProject, Product, SemiJoin, Union)):
-        return all(_is_monotone(child, relation)
+        return all(_is_monotone(child, relation, scan)
                    for child in plan.children())
     if isinstance(plan, (Difference, AntiJoin)):
-        return _is_monotone(plan.left, relation) and \
-            _is_antimonotone(plan.right, relation)
+        return _is_monotone(plan.left, relation, scan) and \
+            _is_antimonotone(plan.right, relation, scan)
     if isinstance(plan, Cumulative):
-        return _is_monotone(plan.full, relation)
+        return _is_monotone(plan.full, relation, scan)
     if isinstance(plan, Fixpoint):
         # Inflationary iteration stays stage-wise larger only when the body
         # is monotone in the outer relation and in its own.
-        return _is_monotone(plan.body, relation) and \
+        return _is_monotone(plan.body, relation, scan) and \
             _is_monotone(plan.body, plan.relation)
     if isinstance(plan, (Closure, SeededClosure)):
         # The DTC reading is non-monotone: a second out-edge *removes* the
         # deterministic edge.
-        return not plan.deterministic and _is_monotone(plan.body, relation)
+        return not plan.deterministic and \
+            _is_monotone(plan.body, relation, scan)
     return False
 
 
-def _is_antimonotone(plan: Plan, relation: str) -> bool:
+def _is_antimonotone(plan: Plan, relation: str, scan: type = AuxScan
+                     ) -> bool:
     """Whether growing ``relation`` can only *shrink* ``plan``'s value (the
     dual polarity, tracked through difference right sides)."""
-    if not _depends_on(plan, relation):
+    if not _depends_on(plan, relation, scan):
         return True
-    if isinstance(plan, AuxScan):
+    if isinstance(plan, scan):
         return False
     if isinstance(plan, (Select, Project, Rename, Shared, CountSelect)):
-        return _is_antimonotone(plan.children()[0], relation)
+        return _is_antimonotone(plan.children()[0], relation, scan)
     if isinstance(plan, (Join, JoinProject, Product, SemiJoin, Union)):
-        return all(_is_antimonotone(child, relation)
+        return all(_is_antimonotone(child, relation, scan)
                    for child in plan.children())
     if isinstance(plan, (Difference, AntiJoin)):
-        return _is_antimonotone(plan.left, relation) and \
-            _is_monotone(plan.right, relation)
+        return _is_antimonotone(plan.left, relation, scan) and \
+            _is_monotone(plan.right, relation, scan)
     if isinstance(plan, Cumulative):
-        return _is_antimonotone(plan.full, relation)
+        return _is_antimonotone(plan.full, relation, scan)
     return False
 
 
@@ -1238,73 +1246,16 @@ def explain_optimized(formula: Formula, structure: Structure,
 # The incremental view maintenance layer (repro.logic.ivm) asks, per
 # memoized defined relation and per changeset, "can this plan be patched
 # in O(change), and how?".  The answer reuses the polarity machinery
-# above, lifted from auxiliary relations to the structure's *base*
-# relations: RelationScan takes AuxScan's role, DeltaScan carries the
-# changeset's per-relation delta under a reserved name that cannot
-# collide with any formula-level auxiliary.
+# above, passed ``RelationScan`` as the scan namespace so it reads the
+# structure's *base* relations, and DeltaScan carries the changeset's
+# per-relation delta under a reserved name that cannot collide with any
+# formula-level auxiliary.
 
 
 def base_delta_name(relation: str) -> str:
     """The reserved context-delta key carrying a *base* relation's changed
     rows (auxiliary names come from formulas and can never contain NUL)."""
     return f"{relation}\x00delta"
-
-
-def _depends_on_relation(plan: Plan, relation: str) -> bool:
-    """Whether ``plan`` reads the structure's base ``relation`` anywhere.
-    Base relations cannot be shadowed, so this is a plain tree walk."""
-    if isinstance(plan, RelationScan):
-        return plan.name == relation
-    return any(_depends_on_relation(child, relation)
-               for child in plan.children())
-
-
-def _is_monotone_relation(plan: Plan, relation: str) -> bool:
-    """Whether growing base ``relation`` can only grow ``plan``'s value —
-    the base-relation lift of :func:`_is_monotone` (same rules: a
-    ``Difference``/``AntiJoin`` flips polarity on its right side, a DTC
-    closure and unknown nodes are conservatively non-monotone)."""
-    if not _depends_on_relation(plan, relation):
-        return True
-    if isinstance(plan, RelationScan):
-        return True
-    if isinstance(plan, (Select, Project, Rename, Shared, CountSelect)):
-        return _is_monotone_relation(plan.children()[0], relation)
-    if isinstance(plan, (Join, JoinProject, Product, SemiJoin, Union)):
-        return all(_is_monotone_relation(child, relation)
-                   for child in plan.children())
-    if isinstance(plan, (Difference, AntiJoin)):
-        return _is_monotone_relation(plan.left, relation) and \
-            _is_antimonotone_relation(plan.right, relation)
-    if isinstance(plan, Cumulative):
-        return _is_monotone_relation(plan.full, relation)
-    if isinstance(plan, Fixpoint):
-        return _is_monotone_relation(plan.body, relation) and \
-            _is_monotone(plan.body, plan.relation)
-    if isinstance(plan, (Closure, SeededClosure)):
-        return not plan.deterministic and \
-            _is_monotone_relation(plan.body, relation)
-    return False
-
-
-def _is_antimonotone_relation(plan: Plan, relation: str) -> bool:
-    """Whether growing base ``relation`` can only *shrink* ``plan``'s
-    value (the dual polarity, through difference right sides)."""
-    if not _depends_on_relation(plan, relation):
-        return True
-    if isinstance(plan, RelationScan):
-        return False
-    if isinstance(plan, (Select, Project, Rename, Shared, CountSelect)):
-        return _is_antimonotone_relation(plan.children()[0], relation)
-    if isinstance(plan, (Join, JoinProject, Product, SemiJoin, Union)):
-        return all(_is_antimonotone_relation(child, relation)
-                   for child in plan.children())
-    if isinstance(plan, (Difference, AntiJoin)):
-        return _is_antimonotone_relation(plan.left, relation) and \
-            _is_monotone_relation(plan.right, relation)
-    if isinstance(plan, Cumulative):
-        return _is_antimonotone_relation(plan.full, relation)
-    return False
 
 
 def differentiate_relation(plan: Plan, relation: str) -> Plan | None:
@@ -1316,7 +1267,7 @@ def differentiate_relation(plan: Plan, relation: str) -> Plan | None:
     derivation).  Product rule exactly as :func:`differentiate`; ``None``
     means no dependency; a return value that *is* ``plan`` is the fallback
     (full re-derivation) — callers treat it as "not maintainable"."""
-    if not _depends_on_relation(plan, relation):
+    if not _depends_on(plan, relation, RelationScan):
         return None
     if isinstance(plan, RelationScan):
         return DeltaScan(base_delta_name(relation), plan.columns, plan.order)
@@ -1345,7 +1296,8 @@ def differentiate_relation(plan: Plan, relation: str) -> Plan | None:
             return plan  # a full-fallback side subsumes the delta terms
 
         def rolled(side: Plan, derivative: Plan | None) -> Plan:
-            if derivative is not None and _is_monotone_relation(side, relation):
+            if derivative is not None and \
+                    _is_monotone(side, relation, RelationScan):
                 return Cumulative(side, derivative)
             return side
 
@@ -1356,7 +1308,7 @@ def differentiate_relation(plan: Plan, relation: str) -> Plan | None:
             parts.append(_with_children(plan, (rolled(plan.left, left), right)))
         return parts[0] if len(parts) == 1 else Union(tuple(parts))
     if isinstance(plan, (Difference, AntiJoin)):
-        if not _depends_on_relation(plan.right, relation):
+        if not _depends_on(plan.right, relation, RelationScan):
             left = differentiate_relation(plan.left, relation)
             return plan if left is plan.left else type(plan)(left, plan.right)
         return plan  # anti-monotone dependence: full re-derivation
@@ -1438,7 +1390,7 @@ def maintenance_strategy(plan: Plan, changed: frozenset[str]
     sound for inserts and deletes alike, since one batch can carry both.
     """
     dependent = frozenset(
-        name for name in changed if _depends_on_relation(plan, name))
+        name for name in changed if _depends_on(plan, name, RelationScan))
     if not dependent:
         return MaintenancePlan("unchanged")
     peeled = _peel_to_core(plan)
@@ -1456,7 +1408,7 @@ def maintenance_strategy(plan: Plan, changed: frozenset[str]
                                    permutation=permutation)
         body = core.body
         for name in sorted(dependent):
-            if not _is_monotone_relation(body, name):
+            if not _is_monotone(body, name, RelationScan):
                 return MaintenancePlan(
                     "recompute", f"fixpoint body non-monotone in {name}")
             if differentiate_relation(body, name) is body:
@@ -1472,7 +1424,7 @@ def maintenance_strategy(plan: Plan, changed: frozenset[str]
                 "recompute", "fixpoint lacks a delta-rewritten body")
         return MaintenancePlan("fixpoint", core=core, permutation=permutation)
     for name in sorted(dependent):
-        if not _is_monotone_relation(plan, name):
+        if not _is_monotone(plan, name, RelationScan):
             return MaintenancePlan(
                 "recompute", f"plan non-monotone in {name}")
         if differentiate_relation(plan, name) is plan:

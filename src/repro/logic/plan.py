@@ -41,11 +41,11 @@ The nodes:
 
 Negation and universal quantification compile (in
 :mod:`repro.logic.compile`) to :class:`Difference` against a
-:class:`DomainProduct` — the active-domain complement rule — and the two
-fixed-point nodes reuse the PR 3 delta-propagating kernels through
-:func:`repro.core.engine.least_fixpoint` / ``transitive_closure``, so the
-whole logic layer bottoms out in the same relational machinery as the
-query baselines.  The second half of the node table
+:class:`DomainProduct` — the active-domain complement rule.
+:class:`Closure` reuses the engine's semi-naive closure kernel
+(:func:`repro.core.engine.transitive_closure`), so TC/DTC bottom out in
+the same relational machinery as the query baselines; :class:`Fixpoint`
+runs its own delta loop, one round per stage.  The second half of the node table
 (:class:`ConstrainedDomain`, :class:`SemiJoin`, :class:`AntiJoin`,
 :class:`DeltaScan`, :class:`SeededClosure`, :class:`Shared`,
 ``Fixpoint.delta_body``) is never
@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from itertools import product as cartesian
 from typing import Iterable, Mapping
 
-from repro.core.engine import least_fixpoint, transitive_closure
+from repro.core.engine import transitive_closure
 from repro.core.governor import Governor
 from repro.core.relalg import IndexedRelation
 from repro.structures.structure import Structure
@@ -176,13 +176,12 @@ class PlanStats:
 class ExecutionContext:
     """Everything a plan needs at run time: the structure (universe and
     input relations), the auxiliary relations in scope (fixed-point stages
-    and caller-supplied interpretations), the fixed-point strategy, and —
-    for optimized plans — the per-stage delta relations, the per-execution
-    :class:`Shared` memo, and the :class:`PlanStats` counters."""
+    and caller-supplied interpretations), and — for optimized plans — the
+    per-stage delta relations, the per-execution :class:`Shared` memo, and
+    the :class:`PlanStats` counters."""
 
     structure: Structure
     auxiliary: Mapping[str, frozenset] = field(default_factory=dict)
-    seminaive: bool = True
     delta: Mapping[str, frozenset] = field(default_factory=dict)
     stats: PlanStats | None = None
     memo: dict | None = None
@@ -211,9 +210,8 @@ class ExecutionContext:
             deltas[name] = delta
         round_memo = {} if fresh_round else self.round_memo
         store = accumulators if accumulators is not None else self.accumulators
-        return ExecutionContext(self.structure, overlay, self.seminaive,
-                                deltas, self.stats, self.memo, round_memo,
-                                store, self.governor)
+        return ExecutionContext(self.structure, overlay, deltas, self.stats,
+                                self.memo, round_memo, store, self.governor)
 
 
 # ------------------------------------------------------------- comparisons
@@ -1012,15 +1010,15 @@ class Fixpoint(Plan):
     ``delta_body`` (attached by the optimizer's semi-naive rewrite) is the
     body differentiated with respect to ``relation``: a plan that, executed
     with the frontier bound for :class:`DeltaScan` nodes, derives every row
-    the full body could newly derive.  When present (and the context is
-    semi-naive), round one runs the full body against the empty relation
-    and every later round runs only ``delta_body`` — O(Δ) work per round
-    for linear bodies.  A ``delta_body`` that *is* the body (the
+    the full body could newly derive.  Round one runs the full body against
+    the empty relation; every later round runs ``delta_body`` — O(Δ) work
+    per round for linear bodies.  A ``delta_body`` that *is* the body (the
     optimizer's fallback for non-differentiable bodies: the auxiliary under
     a ``Difference`` right side, a ``CountSelect``, or a nested fixed
-    point) degenerates to exactly the naive per-round cost.  Without
-    ``delta_body`` the node iterates through the engine's fixed-point
-    kernel, as compiled.
+    point) costs exactly the naive per round.  Without ``delta_body`` (a
+    raw compiled plan) every round re-runs the full body against the
+    accumulated relation: the naive stage iteration, through the same
+    loop.
     """
 
     relation: str
@@ -1038,29 +1036,11 @@ class Fixpoint(Plan):
         return (self.body,)
 
     def _run(self, context: ExecutionContext) -> IndexedRelation:
-        if self.delta_body is not None and context.seminaive:
-            return self._run_delta(context)
-        body = self.body
-        relation = self.relation
-        arity = len(self.variables)
-
-        def delta_step(_delta: frozenset, total: set) -> frozenset:
-            if context.stats is not None:
-                context.stats.fixpoint_rounds += 1
-            stage = context.with_auxiliary(relation, frozenset(total))
-            return chaos_point("plan.fixpoint.round", body.execute(stage).rows,
-                               corrupt=lambda rows: rows | {(-1,) * (arity + 1)})
-
-        rows = least_fixpoint(initial=frozenset(), delta_step=delta_step,
-                              seminaive=context.seminaive,
-                              governor=context.governor)
-        return IndexedRelation(rows, arity=arity)
-
-    def _run_delta(self, context: ExecutionContext) -> IndexedRelation:
-        """The delta-rewritten loop: total/delta bookkeeping lives here (not
-        in the engine kernel) so each round can bind both the accumulated
-        relation and the frontier, and record per-round work."""
+        # Total/delta bookkeeping lives here (not in the engine kernel) so
+        # each round can bind both the accumulated relation and the
+        # frontier, and record per-round work.
         relation, stats = self.relation, context.stats
+        step = self.body if self.delta_body is None else self.delta_body
         governor, arity = context.governor, len(self.variables)
         store: dict = {}  # this fixed point's Cumulative accumulators
 
@@ -1096,7 +1076,7 @@ class Fixpoint(Plan):
                                            fresh_round=True,
                                            accumulators=store)
             derived = chaos_point("plan.fixpoint.round",
-                                  self.delta_body.execute(stage).rows,
+                                  step.execute(stage).rows,
                                   corrupt=corrupt)
             round_rows(before)
             delta = frozenset(row for row in derived if row not in total)
@@ -1149,7 +1129,6 @@ class Closure(Plan):
             successors[row[:k]].append(row[k:])
         closure = transitive_closure(successors,
                                      deterministic=self.deterministic,
-                                     seminaive=context.seminaive,
                                      governor=governor)
         return IndexedRelation.adopt(
             {source + target for source, target in closure}, arity=2 * k)

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.core.columnar import (
-    ColumnarRelation,
     adjacency_of_binary,
     and_rows,
     andnot_rows,
@@ -140,53 +139,73 @@ def test_closure_respects_round_budget():
 
 
 class TestColumnarRelation:
+    """Relation operations on the columnar payloads, driven through the
+    kernels directly: bitsets for unary relations, bitmask rows (with a
+    CSR form) for binary ones."""
+
     def test_representation_choice(self):
         n = 9
-        assert ColumnarRelation.from_rows({(1,)}, 1, n).kind == "bitset"
-        assert ColumnarRelation.from_rows({(1, 2)}, 2, n).kind == "csr"
-        assert ColumnarRelation.from_rows({(1, 2, 3)}, 3, n).kind == "tuples"
+        assert bits_of_unary({(1,)}) == 0b10
+        adj = adjacency_of_binary({(1, 2)}, n)
+        assert len(adj) == n
+        assert adj[1] == 0b100 and not any(adj[:1] + adj[2:])
+        offsets, targets = csr_of_adjacency(adj)
+        assert len(offsets) == n + 1
+        assert list(targets) == [2]
 
     def test_set_protocol(self):
-        r = ColumnarRelation.from_rows({(2, 1), (0, 3)}, 2, 5)
-        assert len(r) == 2
-        assert (2, 1) in r and (1, 2) not in r
-        assert list(r) == [(0, 3), (2, 1)]  # sorted iteration
-        assert r == {(2, 1), (0, 3)}
+        rows = {(2, 1), (0, 3)}
+        adj = adjacency_of_binary(rows, 5)
+        assert sum(bin(row).count("1") for row in adj) == 2
+        assert adj[2] >> 1 & 1 and not adj[1] >> 2 & 1
+        offsets, targets = csr_of_adjacency(adj)
+        ordered = [(x, y) for x in range(5)
+                   for y in targets[offsets[x]:offsets[x + 1]]]
+        assert ordered == [(0, 3), (2, 1)]  # sorted CSR order
+        assert rows_of_adjacency(adj) == rows
 
     def test_boolean_algebra_and_complement(self):
         n = 7
-        a = ColumnarRelation.from_rows({(1,), (3,), (5,)}, 1, n)
-        b = ColumnarRelation.from_rows({(3,), (6,)}, 1, n)
-        assert set(a.union(b)) == {(1,), (3,), (5,), (6,)}
-        assert set(a.difference(b)) == {(1,), (5,)}
-        assert set(a.intersection(b)) == {(3,)}
-        assert set(a.complement()) == {(0,), (2,), (4,), (6,)}
-        binary = ColumnarRelation.from_rows({(0, 1)}, 2, 3)
-        assert set(binary.complement()) == \
+        a = bits_of_unary({(1,), (3,), (5,)})
+        b = bits_of_unary({(3,), (6,)})
+        full = (1 << n) - 1
+        assert rows_of_bits(a | b) == {(1,), (3,), (5,), (6,)}
+        assert rows_of_bits(a & ~b) == {(1,), (5,)}
+        assert rows_of_bits(a & b) == {(3,)}
+        assert rows_of_bits(full & ~a) == {(0,), (2,), (4,), (6,)}
+        binary = adjacency_of_binary({(0, 1)}, 3)
+        everything = [(1 << 3) - 1] * 3
+        assert rows_of_adjacency(andnot_rows(everything, binary)) == \
             {(x, y) for x in range(3) for y in range(3)} - {(0, 1)}
 
     def test_semijoins(self):
         n = 6
-        edges = ColumnarRelation.from_rows(
-            {(0, 1), (1, 2), (4, 5)}, 2, n)
-        marked = ColumnarRelation.from_rows({(1,), (5,)}, 1, n)
-        assert set(edges.semijoin(marked, on=0)) == {(1, 2)}
-        assert set(edges.semijoin(marked, on=1)) == {(0, 1), (4, 5)}
-        assert set(edges.antijoin(marked, on=0)) == {(0, 1), (4, 5)}
-        assert set(edges.antijoin(marked, on=1)) == {(1, 2)}
+        edges = adjacency_of_binary({(0, 1), (1, 2), (4, 5)}, n)
+        marked = bits_of_unary({(1,), (5,)})
+        unmarked = ((1 << n) - 1) & ~marked
+        assert rows_of_adjacency(mask_rows_source(edges, marked)) == \
+            {(1, 2)}
+        assert rows_of_adjacency(mask_rows_target(edges, marked)) == \
+            {(0, 1), (4, 5)}
+        assert rows_of_adjacency(mask_rows_source(edges, unmarked)) == \
+            {(0, 1), (4, 5)}
+        assert rows_of_adjacency(mask_rows_target(edges, unmarked)) == \
+            {(1, 2)}
 
     def test_project_rename_select(self):
-        r = ColumnarRelation.from_rows({(0, 2), (1, 2)}, 2, 4)
-        assert set(r.project((0,))) == {(0,), (1,)}
-        assert set(r.project((1,))) == {(2,)}
-        assert set(r.project((1, 0))) == {(2, 0), (2, 1)}
-        assert set(r.rename((1, 0))) == {(2, 0), (2, 1)}
-        assert set(r.select(lambda row: row[0] > 0)) == {(1, 2)}
+        n = 4
+        adj = adjacency_of_binary({(0, 2), (1, 2)}, n)
+        assert rows_of_bits(proj_source(adj)) == {(0,), (1,)}
+        assert rows_of_bits(proj_target(adj)) == {(2,)}
+        assert rows_of_adjacency(transpose(adj, n)) == {(2, 0), (2, 1)}
+        assert rows_of_adjacency(
+            mask_rows_source(adj, bits_of_unary({(1,), (2,), (3,)}))) == \
+            {(1, 2)}
 
     def test_closure_and_compose(self):
-        path = ColumnarRelation.from_rows(
-            {(0, 1), (1, 2), (2, 3)}, 2, 4)
-        closed = path.closure()
+        n = 4
+        path = adjacency_of_binary({(0, 1), (1, 2), (2, 3)}, n)
+        closed = rows_of_adjacency(closure_adjacency(path, n))
         assert (0, 3) in closed and (3, 0) not in closed
         assert (2, 2) in closed  # reflexive
-        assert set(path.compose(path)) == {(0, 2), (1, 3)}
+        assert rows_of_adjacency(compose(path, path)) == {(0, 2), (1, 3)}

@@ -154,15 +154,13 @@ class TestSnapshotSubcommand:
         assert main(["snapshot", "info", str(bad)]) == EXIT_INPUT
         assert main(["logic", "tc", "--structure", str(bad)]) == EXIT_INPUT
 
-    def test_degradation_prints_a_notice(self, tmp_path, graph_json, capsys):
-        from repro.logic.codegen import set_max_columnar_universe
+    def test_degradation_prints_a_notice(self, tmp_path, graph_json, capsys,
+                                         monkeypatch):
+        from repro.logic import codegen
 
-        previous = set_max_columnar_universe(2)
-        try:
-            assert main(["logic", "reach", "--structure", str(graph_json),
-                         "--backend", "columnar", "--stats"]) == 0
-        finally:
-            set_max_columnar_universe(previous)
+        monkeypatch.setattr(codegen, "MAX_COLUMNAR_UNIVERSE", 2)
+        assert main(["logic", "reach", "--structure", str(graph_json),
+                     "--backend", "columnar", "--stats"]) == 0
         captured = capsys.readouterr()
         assert "degraded mid-run (columnar->plan)" in captured.err
         assert "degraded:    columnar -> plan" in captured.out

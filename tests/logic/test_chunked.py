@@ -17,7 +17,6 @@ from repro.core.errors import MemoryLimitExceeded, ResourceLimitExceeded
 from repro.core.governor import Budget
 from repro.logic import codegen
 from repro.logic.chunked import ChunkedUnsupported, execute_chunked
-from repro.logic.codegen import set_max_columnar_universe
 from repro.logic.eval import ModelChecker, define_relation
 from repro.logic.plan import DomainProduct, PlanStats
 from repro.logic.queries import CANONICAL_QUERIES
@@ -154,31 +153,27 @@ def test_resource_errors_never_degrade(chunk_everything):
 # --------------------------------------------------------- the universe cap
 
 
-def test_set_max_columnar_universe_round_trips():
-    previous = set_max_columnar_universe(123)
-    try:
-        assert codegen.MAX_COLUMNAR_UNIVERSE == 123
-        assert set_max_columnar_universe(previous) == 123
-    finally:
-        codegen.MAX_COLUMNAR_UNIVERSE = previous
-    with pytest.raises(ValueError):
-        set_max_columnar_universe(-1)
+def test_max_columnar_universe_reads_the_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_MAX_COLUMNAR_UNIVERSE", "123")
+    assert codegen._default_max_universe() == 123
+    for malformed in ("-1", "lots"):
+        monkeypatch.setenv("REPRO_MAX_COLUMNAR_UNIVERSE", malformed)
+        assert codegen._default_max_universe() == 1 << 22
+    monkeypatch.delenv("REPRO_MAX_COLUMNAR_UNIVERSE")
+    assert codegen._default_max_universe() == 1 << 22
 
 
-def test_cap_degrades_with_an_event():
-    previous = set_max_columnar_universe(4)
-    try:
-        query = CANONICAL_QUERIES["reach"]
-        structure = random_graph(6, edge_probability=0.3, seed=3)
-        degradations: list = []
-        result = _relation(query, structure, "columnar",
-                           degradations=degradations)
-        assert result == _relation(query, structure, "tuple")
-        assert any(event.stage == "columnar"
-                   and "columnar limit" in event.error
-                   for event in degradations)
-    finally:
-        set_max_columnar_universe(previous)
+def test_cap_degrades_with_an_event(monkeypatch):
+    monkeypatch.setattr(codegen, "MAX_COLUMNAR_UNIVERSE", 4)
+    query = CANONICAL_QUERIES["reach"]
+    structure = random_graph(6, edge_probability=0.3, seed=3)
+    degradations: list = []
+    result = _relation(query, structure, "columnar",
+                       degradations=degradations)
+    assert result == _relation(query, structure, "tuple")
+    assert any(event.stage == "columnar"
+               and "columnar limit" in event.error
+               for event in degradations)
 
 
 # ----------------------------------------------------- the BFS select path

@@ -55,19 +55,17 @@ def test_compiled_source_is_inspectable():
     assert rows == plan.execute(context).rows
 
 
-def test_codegen_cache_key_includes_universe_and_strategy():
+def test_codegen_cache_key_is_plan_and_universe():
     clear_codegen_cache()
     plan = compile_formula(TC)
     stats = PlanStats()
-    a = compiled_columnar(plan, 8, True, stats)
+    a = compiled_columnar(plan, 8, stats)
     assert stats.codegen_cache_hits == 0
-    b = compiled_columnar(plan, 8, True, stats)
+    b = compiled_columnar(plan, 8, stats)
     assert b is a
     assert stats.codegen_cache_hits == 1
-    # A different universe size or fixed-point strategy is a different
-    # specialization: no sharing.
-    assert compiled_columnar(plan, 9, True, stats) is not a
-    assert compiled_columnar(plan, 8, False, stats) is not a
+    # A different universe size is a different specialization: no sharing.
+    assert compiled_columnar(plan, 9, stats) is not a
     assert stats.codegen_cache_hits == 1
 
 

@@ -362,7 +362,7 @@ def test_maintenance_of_rewritten_sentences_recomputes(name, reason):
 
 
 def _interpreter(structure):
-    return chunked._Interpreter(structure, {}, True, None, None)
+    return chunked._Interpreter(structure, {}, None, None)
 
 
 @pytest.mark.parametrize("orientation", ["image", "pre-image"])

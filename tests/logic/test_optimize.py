@@ -15,6 +15,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.core.engine import Session
+from repro.logic import codegen
 from repro.logic.compile import compile_formula
 from repro.logic.eval import ModelChecker, define_relation
 from repro.logic.formula import (
@@ -294,7 +295,10 @@ class TestDeltaRewriting:
         assert max(rounds) <= 4 * n            # frontier-bounded ...
         assert max(rounds) < accumulated       # ... not relation-bounded
 
-    def test_naive_mode_ignores_the_delta_body(self):
+    def test_delta_and_raw_loops_agree_under_either_flag(self):
+        """The optimized plan's delta loop and the raw plan's full-body
+        loop define the same relation; ``seminaive`` reaches only the
+        tuple backend, so it cannot split the plan backend's answers."""
         g = random_alternating_graph(5, seed=8)
         formula = apath_lfp(var("u"), var("v"))
         results = {
@@ -359,6 +363,55 @@ class TestCounters:
                                    backend="plan", optimize=False, stats=off)
             assert fast == slow, name
             assert on.rows_materialized <= off.rows_materialized, name
+
+    def test_every_executor_counts_rounds_and_round_rows(self, monkeypatch):
+        """One fixed-point loop per executor: a raw plan (no delta body)
+        answers like the tuple oracle and records one
+        ``fixpoint_round_rows`` entry per round, and the plan, dense and
+        chunked executors count the same rounds for the optimized gap and
+        agap plans.  Raw apath cannot run chunked (it needs ``Domain^2``);
+        the raw unary "reaches max" fixed point can."""
+        g = random_alternating_graph(7, seed=3)
+        reaches_max = LFPAtom("R", ("x",), or_(
+            eq("x", MAX), exists("z", and_(rel("E", "x", "z"), aux("R", "z")))),
+            (var("u"),))
+        raw_cases = [(CANONICAL_QUERIES["apath"].formula(), ("u", "v"),
+                      ("plan", "dense")),
+                     (reaches_max, ("u",), ("plan", "dense", "chunked"))]
+        for formula, variables, executors in raw_cases:
+            oracle = define_relation(formula, g, variables)
+            for executor in executors:
+                rows, stats = self._run_on(executor, formula, g, variables,
+                                           monkeypatch, optimize=False)
+                assert rows == oracle, (executor, formula)
+                assert len(stats.fixpoint_round_rows) == \
+                    stats.fixpoint_rounds > 0, (executor, formula)
+        for name in ("gap", "agap"):
+            query = CANONICAL_QUERIES[name]
+            rounds = {
+                executor: self._run_on(executor, query.formula(), g,
+                                       query.variables, monkeypatch
+                                       )[1].fixpoint_rounds
+                for executor in ("plan", "dense", "chunked")}
+            assert len(set(rounds.values())) == 1 and rounds["plan"] > 0, \
+                (name, rounds)
+
+    @staticmethod
+    def _run_on(executor, formula, structure, variables, monkeypatch,
+                optimize=True):
+        """``define_relation`` on one plan executor, failing if the
+        columnar rung degraded (so the named executor really answered)."""
+        stats, events = PlanStats(), []
+        with monkeypatch.context() as patch:
+            if executor == "chunked":
+                patch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", 2)
+            rows = define_relation(formula, structure, variables,
+                                   backend="plan" if executor == "plan"
+                                   else "columnar",
+                                   optimize=optimize, stats=stats,
+                                   degradations=events)
+        assert not any(e.stage == "columnar" for e in events), executor
+        return rows, stats
 
 
 class TestCostModel:

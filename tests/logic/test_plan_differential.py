@@ -224,10 +224,10 @@ def test_generated_formulas_agree(size, seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_generated_formulas_agree_under_naive_kernels(seed):
-    """The plan backend composes with ``seminaive=False`` too: its
-    fixed-point nodes then run the naive re-derive-everything kernels
-    (delta-rewritten bodies included — they fall back to the kernel
-    path)."""
+    """``seminaive=False`` switches the tuple oracle to its naive
+    re-derive-everything kernels; the plan and columnar backends ignore
+    the flag (one fixed-point loop each), so every backend, optimized or
+    raw, still defines the same relation under either setting."""
     generator = FormulaGenerator(seed)
     formula = generator.formula(depth=3, scope=FREE_VARIABLES)
     structure = random_alternating_graph(4, seed=seed)
