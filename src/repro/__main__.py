@@ -202,15 +202,6 @@ def _build_logic_argument_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_structure_file(path: Path):
-    """A structure from either encoding: binary snapshots are recognized
-    by their leading ``RSNP`` magic, anything else parses as the JSON
-    database shape (shared with the query-service workers)."""
-    from repro.structures.structure import load_structure_file
-
-    return load_structure_file(path)
-
-
 def logic_main(argv: list[str]) -> int:
     from repro.logic.plan import PlanStats
     from repro.logic.queries import CANONICAL_QUERIES
@@ -262,46 +253,34 @@ def logic_main(argv: list[str]) -> int:
 def _logic_run(args, query, optimize, stats, budget,
                degradations: list) -> int:
     from repro.logic.compile import PlanCompilationError, explain
-    from repro.logic.eval import define_relation
+    from repro.logic.eval import ModelChecker
     from repro.logic.optimize import explain_optimized
+    from repro.structures.structure import load_structure_file
 
     try:
-        structure = _load_structure_file(args.structure)
+        structure = load_structure_file(args.structure)
         formula = query.formula()
         if args.explain:
             if args.backend in ("plan", "columnar") and optimize:
                 print(explain_optimized(formula, structure, query.variables))
             else:
                 print(explain(formula, query.variables))
+        checker = ModelChecker(structure, backend=args.backend,
+                               optimize=optimize, budget=budget)
+        checker.plan_stats = stats
+        checker.degradations = degradations
         ivm_summary = None
         net = None
         if args.updates is not None:
-            from repro.logic.eval import ModelChecker
             from repro.structures.changeset import Changeset
 
             updates = Changeset.from_json(
                 json.loads(args.updates.read_text()))
-            checker = ModelChecker(structure, backend=args.backend,
-                                   optimize=optimize, budget=budget)
-            if stats is not None:
-                checker.plan_stats = stats
-            checker.defined_relation(formula)
+            checker.defined_relation(formula, query.variables)
             net = checker.apply_update(updates)
-            columns, rows = checker.defined_relation(formula)
-            if query.variables:
-                positions = [columns.index(v) for v in query.variables]
-                relation = frozenset(tuple(row[p] for p in positions)
-                                     for row in rows)
-            else:
-                relation = rows
             ivm_summary = dict(checker.ivm_stats)
-            degradations.extend(checker.degradations)
-        else:
-            relation = define_relation(formula, structure, query.variables,
-                                       backend=args.backend,
-                                       optimize=optimize,
-                                       stats=stats, budget=budget,
-                                       degradations=degradations)
+        _columns, relation = checker.defined_relation(formula,
+                                                      query.variables)
     except PlanCompilationError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_INPUT
@@ -440,6 +419,7 @@ def snapshot_main(argv: list[str]) -> int:
         load_snapshot,
         save_snapshot,
     )
+    from repro.structures.structure import load_structure_file
 
     args = _build_snapshot_argument_parser().parse_args(argv)
     token = CancelToken()
@@ -460,7 +440,7 @@ def snapshot_main(argv: list[str]) -> int:
                     _cancellable_stream(pairs, token), args.output,
                     relation=args.relation, size=args.size)
             else:
-                structure = _load_structure_file(args.structure)
+                structure = load_structure_file(args.structure)
                 header = save_snapshot(structure, args.output)
         rows = sum(entry["rows"]
                    for entry in header.get("relations", {}).values())

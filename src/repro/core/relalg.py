@@ -30,8 +30,8 @@ no new fact.
 :class:`IndexedRelation` supplies the data structure both strategies lean
 on: a set of same-arity tuples with lazily built, incrementally maintained
 per-column hash indexes (so joins probe a dict instead of scanning the
-relation) and a built-in delta set (the frontier accumulated since the last
-:meth:`~IndexedRelation.take_delta`).
+relation).  The frontier is not part of it: the fixed-point kernels below
+keep each round's delta in plain sets.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ _NO_ROWS: frozenset = frozenset()
 
 class IndexedRelation:
     """A relation — a set of same-arity tuples — with per-column hash
-    indexes and a delta (frontier) set for semi-naive iteration.
+    indexes.
 
     * ``rows`` is the total relation.  Membership, length and iteration all
       read it directly.
@@ -63,20 +63,17 @@ class IndexedRelation:
       :meth:`index_on` is the composite-key variant over several columns.
       Both persist on the relation, so a relation reused across joins (or
       across fixed-point rounds) pays for each index once.
-    * :meth:`add` reports whether the row was new, and every new row joins
-      the delta set until :meth:`take_delta` drains it — the loop shape of
-      semi-naive evaluation.
+    * :meth:`add` reports whether the row was new.
     * :meth:`join` / :meth:`project` / :meth:`union` / :meth:`select` /
       :meth:`semijoin` / :meth:`antijoin` are the bulk operators; ``join``
       probes the right side's column index instead of scanning it.
     """
 
-    __slots__ = ("arity", "_rows", "_delta", "_indexes")
+    __slots__ = ("arity", "_rows", "_indexes")
 
     def __init__(self, rows: Iterable[Sequence] = (), arity: int | None = None):
         self.arity = arity
         self._rows: set[tuple] = set()
-        self._delta: set[tuple] = set()
         # Keyed by a column number (single-column index) or a tuple of
         # column numbers (composite-key index); both kinds are maintained
         # incrementally by :meth:`add` once built.
@@ -89,13 +86,10 @@ class IndexedRelation:
         """Wrap an already-deduplicated ``set`` of same-arity tuples
         *without copying or per-row bookkeeping* — the bulk-kernel fast
         path (set-native joins and differences build a plain set, then
-        adopt it).  The relation takes ownership of ``rows``; the delta
-        set starts empty, so adopted relations are results, not semi-naive
-        frontiers."""
+        adopt it).  The relation takes ownership of ``rows``."""
         relation = cls.__new__(cls)
         relation.arity = arity
         relation._rows = rows
-        relation._delta = set()
         relation._indexes = {}
         return relation
 
@@ -119,7 +113,7 @@ class IndexedRelation:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"IndexedRelation(arity={self.arity}, rows={len(self._rows)}, "
-                f"delta={len(self._delta)}, indexed={sorted(self._indexes)})")
+                f"indexed={sorted(self._indexes)})")
 
     @property
     def rows(self) -> set[tuple]:
@@ -130,7 +124,7 @@ class IndexedRelation:
 
     def add(self, row: Sequence) -> bool:
         """Insert a row; returns True iff it was not already present.  New
-        rows enter the delta set and every built column index."""
+        rows enter every built column index."""
         row = tuple(row)
         if self.arity is None:
             self.arity = len(row)
@@ -141,7 +135,6 @@ class IndexedRelation:
         if row in self._rows:
             return False
         self._rows.add(row)
-        self._delta.add(row)
         for column, index in self._indexes.items():
             if type(column) is tuple:
                 key: Hashable = tuple(row[c] for c in column)
@@ -159,16 +152,12 @@ class IndexedRelation:
 
         The inverse of :meth:`add`, with the same index contract: every
         built column index drops the row, so a relation maintained under
-        deletions keeps probing correctly without a rebuild.  A removed
-        row also leaves the delta set — the frontier only ever names rows
-        *currently* in the relation, which is what the incremental
-        maintenance layer's over-delete/re-derive passes rely on.
+        deletions keeps probing correctly without a rebuild.
         """
         row = tuple(row)
         if row not in self._rows:
             return False
         self._rows.discard(row)
-        self._delta.discard(row)
         for column, index in self._indexes.items():
             if type(column) is tuple:
                 key: Hashable = tuple(row[c] for c in column)
@@ -180,18 +169,6 @@ class IndexedRelation:
                 if not bucket:
                     del index[key]
         return True
-
-    # -------------------------------------------------------------- deltas
-
-    @property
-    def has_delta(self) -> bool:
-        return bool(self._delta)
-
-    def take_delta(self) -> frozenset[tuple]:
-        """The rows added since the last call, clearing the frontier."""
-        delta = frozenset(self._delta)
-        self._delta.clear()
-        return delta
 
     # ------------------------------------------------------------- indexes
 
@@ -275,12 +252,9 @@ class IndexedRelation:
         This operand's built indexes *transfer*: their buckets are cloned
         into the result and :meth:`add`'s incremental maintenance extends
         them with the right operand's new rows, instead of re-hashing the
-        whole left side on the result's first probe.  Like every bulk
-        operator, the result's delta is its full row set — it enters a
-        semi-naive loop as an untaken frontier.
+        whole left side on the result's first probe.
         """
         result = IndexedRelation.adopt(set(self._rows), arity=self.arity)
-        result._delta = set(result._rows)
         result._indexes = {
             column: {key: set(bucket) for key, bucket in index.items()}
             for column, index in self._indexes.items()
@@ -296,9 +270,7 @@ class IndexedRelation:
         This operand's built indexes survive: when few rows are removed
         each index is cloned and the removed rows' entries deleted;
         otherwise it is rebuilt from the (smaller) kept set — either way
-        the result starts indexed.  Like every bulk operator, the result
-        is a *fresh* relation whose delta is its full row set — it enters
-        a semi-naive loop as an untaken frontier.
+        the result starts indexed.
         """
         if isinstance(other, IndexedRelation):
             excluded = other._rows
@@ -306,7 +278,6 @@ class IndexedRelation:
             excluded = {tuple(row) for row in other}
         kept = self._rows - excluded
         result = IndexedRelation.adopt(kept, arity=self.arity)
-        result._delta = set(kept)
         if self._indexes:
             removed = self._rows & excluded
 

@@ -24,7 +24,8 @@ dense universe ``0..n-1`` (the interning convention of
 
 so the codegen cache key ``(plan, n)`` *is* the representation
 signature: it pins every kernel choice the emitter makes.  The cache is
-bounded like the optimizer's plan memo and its hits are surfaced through
+a bounded LRU like the optimizer's plan memo
+(:class:`~repro.core.lru.LRUCache`) and its hits are surfaced through
 ``PlanStats.codegen_cache_hits``.
 
 Nodes with no columnar kernel (``Closure`` over k-tuples with k ≥ 2,
@@ -45,7 +46,6 @@ masks and merges, there is no hash index to probe.
 from __future__ import annotations
 
 import os
-import threading
 from itertools import product as _cartesian
 from typing import Callable, Iterable
 
@@ -70,6 +70,7 @@ from repro.core.columnar import (
     transpose,
 )
 from repro.core.governor import DegradationEvent
+from repro.core.lru import LRUCache
 
 from .plan import (
     AntiJoin,
@@ -1211,20 +1212,16 @@ def compile_columnar(plan: Plan, n: int) -> CompiledColumnarPlan:
 # ------------------------------------------------------------------- cache
 
 
-_CODEGEN_CACHE: dict[tuple, CompiledColumnarPlan] = {}
-_CODEGEN_CACHE_LIMIT = 512
-# The cache is shared process-wide (the query service evaluates from
-# several threads at once); the lock covers the get/evict/store sequence
-# so a concurrent eviction can never interleave with a store.  Compiled
-# plans themselves are immutable, so a duplicate compile under a lost
-# race would be wasted work, not corruption — the lock spares even that.
-_CODEGEN_LOCK = threading.Lock()
+#: Compiled plans by ``(plan, n)``, shared process-wide (the query
+#: service evaluates from several threads at once).  Compiled plans are
+#: immutable, so a duplicate compile under a lost race is wasted work,
+#: not corruption.
+_CODEGEN_CACHE = LRUCache(512)
 
 
 def clear_codegen_cache() -> None:
     """Drop every compiled plan (chaos/benchmark fixtures call this)."""
-    with _CODEGEN_LOCK:
-        _CODEGEN_CACHE.clear()
+    _CODEGEN_CACHE.clear()
 
 
 def compiled_columnar(plan: Plan, n: int, stats: PlanStats | None = None
@@ -1233,17 +1230,13 @@ def compiled_columnar(plan: Plan, n: int, stats: PlanStats | None = None
     signature.  Hits are counted on ``stats``, which also receives the
     plan's representation report (``columnar_report``)."""
     key = (plan, n)
-    with _CODEGEN_LOCK:
-        compiled = _CODEGEN_CACHE.get(key)
+    compiled = _CODEGEN_CACHE.get(key)
     if compiled is not None:
         if stats is not None:
             stats.codegen_cache_hits += 1
     else:
         compiled = compile_columnar(plan, n)
-        with _CODEGEN_LOCK:
-            if len(_CODEGEN_CACHE) >= _CODEGEN_CACHE_LIMIT:
-                _CODEGEN_CACHE.clear()
-            _CODEGEN_CACHE[key] = compiled
+        _CODEGEN_CACHE.put(key, compiled)
     if stats is not None:
         stats.columnar_report = compiled.report()
     return compiled

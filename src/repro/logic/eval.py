@@ -100,80 +100,6 @@ LOGIC_BACKENDS = ("plan", "columnar", "tuple")
 _UNBOUND = object()
 
 
-class _TupleFallback(Exception):
-    """Internal signal: both plan rungs failed on a non-budget error; the
-    caller should answer through the tuple oracle."""
-
-
-def _plan_rows(formula: Formula, layout: tuple[str, ...] | None,
-               structure: Structure, context_for, optimize: bool,
-               governor, degradations: list,
-               columnar_for=None) -> tuple[tuple[str, ...], frozenset]:
-    """Execute ``formula`` set-at-a-time down the degradation ladder.
-
-    Rung zero (``columnar`` backend only): compile the best available
-    plan (optimized, else raw) to a specialized columnar closure and run
-    it; any failure — an unsupported shape, a universe past the dense-int
-    cost gate, an injected fault — records a
-    :class:`DegradationEvent("columnar", "plan")` and drops to the
-    interpreted rungs.  Rung one: the optimized plan.  Any failure
-    *optimizing* — a rewrite crash, an injected fault, or a budget blown
-    mid-pipeline — records a :class:`DegradationEvent` and falls back to
-    the raw compiled plan rather than failing the query.  Rung two: the
-    raw plan; an internal failure *executing* either plan (but never a
-    :class:`ResourceLimitExceeded`, which is the budget working as
-    intended and always propagates) records an event and drops one rung
-    further.  Below the raw plan lies the tuple oracle, signalled to the
-    caller via :class:`_TupleFallback` (the oracle needs caller-specific
-    machinery: row enumeration for ``define_relation``, recursive
-    evaluation for ``evaluate``).
-
-    Returns ``(columns, rows)`` of whichever plan rung answered.
-    ``context_for`` builds a *fresh* execution context per attempt so a
-    failed rung cannot leak partial memo state into the next;
-    ``columnar_for`` (when given) runs a plan through
-    :func:`~repro.logic.codegen.execute_columnar` with the caller's
-    auxiliary scope and counters.
-    """
-    plan = None
-    if optimize:
-        try:
-            plan = optimize_formula(formula, structure, layout,
-                                    governor=governor)
-        except Exception as error:
-            degradations.append(
-                DegradationEvent("optimize", "raw-plan", repr(error)))
-    raw = None
-    if columnar_for is not None:
-        target = plan
-        if target is None:
-            raw = target = compile_formula(formula, layout)
-        try:
-            return target.columns, columnar_for(target)
-        except ResourceLimitExceeded:
-            raise
-        except Exception as error:
-            degradations.append(
-                DegradationEvent("columnar", "plan", repr(error)))
-    if plan is not None:
-        try:
-            return plan.columns, frozenset(plan.execute(context_for()).rows)
-        except ResourceLimitExceeded:
-            raise
-        except Exception as error:
-            degradations.append(
-                DegradationEvent("plan", "raw-plan", repr(error)))
-    if raw is None:
-        raw = compile_formula(formula, layout)
-    try:
-        return raw.columns, frozenset(raw.execute(context_for()).rows)
-    except ResourceLimitExceeded:
-        raise
-    except Exception as error:
-        degradations.append(DegradationEvent("plan", "tuple", repr(error)))
-        raise _TupleFallback(error) from error
-
-
 class ModelChecker:
     """Evaluates formulas over a fixed structure.
 
@@ -215,7 +141,8 @@ class ModelChecker:
     the raw compiled plan, kept as the differential oracle for the
     optimizer itself.  ``plan_stats`` accumulates the plan executions'
     :class:`~repro.logic.plan.PlanStats` counters across this checker's
-    lifetime (the CLI's ``--stats``).
+    lifetime (the CLI's ``--stats``); a caller may swap in its own, or
+    ``None`` to count nothing (codegen then runs its untracked kernels).
     """
 
     def __init__(self, structure: Structure,
@@ -236,15 +163,17 @@ class ModelChecker:
         self.optimize = optimize
         self.budget = budget
         #: The degradation ladder's audit log: one event per rung dropped
-        #: (optimized plan -> raw plan -> tuple oracle, memo store skipped).
+        #: (columnar -> optimized plan -> raw plan -> tuple oracle, memo
+        #: store skipped).
         self.degradations: list[DegradationEvent] = []
-        # The per-call governor minted from ``budget`` by :meth:`evaluate`;
+        # The per-call governor minted from ``budget`` by :meth:`_call`;
         # ``None`` whenever no budget is set (the ungoverned fast path).
         self._governor = None
         self.plan_stats = PlanStats()
         # Maps (kind, formula, auxiliary snapshot) -> computed closure /
-        # fixed point (or, for the plan backend, the formula's defined
-        # relation).  Keying on the formula object itself (formulas are
+        # fixed point, and ("plan", formula, auxiliary snapshot, layout)
+        # -> (columns, rows) of the formula's defined relation on the plan
+        # backends.  Keying on the formula object itself (formulas are
         # frozen, hashable dataclasses) pins it alive, so the entry can
         # never be confused with a different formula.
         self._fixpoint_cache: dict = {}
@@ -290,77 +219,48 @@ class ModelChecker:
     # ----------------------------------------------------------- formulas
 
     def evaluate(self, formula: Formula, assignment: Mapping[str, int] | None = None) -> bool:
-        """Evaluate ``formula`` under the given variable assignment.
-
-        When the checker has a :class:`Budget`, a fresh governor enforces
-        it for the duration of this call (the caps are per-query); whatever
-        the outcome, :meth:`_restoring` guarantees the checker's auxiliary
-        relations and memo tables are back in their pre-call state after
-        any exception.
-        """
+        """Evaluate ``formula`` under the given variable assignment, under
+        the per-call budget and state rollback of :meth:`_call`."""
         # Copy so the quantifiers' in-place rebinding never leaks into the
         # caller's mapping.
         assignment = dict(assignment or {})
-        self._thread_lock.acquire()
-        previous = self._governor
-        self._governor = governor = \
-            self.budget.start(self.plan_stats) if self.budget is not None \
-            else None
-        try:
-            with self._restoring():
-                if governor is not None:
-                    governor.check_time()
-                if self.backend in ("plan", "columnar"):
-                    return self._eval_plan(formula, assignment)
-                return self._eval(formula, assignment)
-        finally:
-            self._governor = previous
-            self._thread_lock.release()
+        with self._call():
+            if self.backend in ("plan", "columnar"):
+                return self._eval_plan(formula, assignment)
+            return self._eval(formula, assignment)
 
-    def is_memoized(self, formula: Formula) -> bool:
-        """Whether :meth:`defined_relation` would answer ``formula`` from
-        the plan cache under the auxiliary relations now in scope."""
+    def is_memoized(self, formula: Formula,
+                    variables: tuple[str, ...] | None = None) -> bool:
+        """Whether :meth:`defined_relation` would answer ``formula`` laid
+        out over ``variables`` from the plan cache under the auxiliary
+        relations now in scope."""
         with self._thread_lock:
-            return ("plan", formula, self._aux_snapshot()) in self._fixpoint_cache
+            return self._memo_key(formula, variables) in self._fixpoint_cache
 
-    def defined_relation(self, formula: Formula
+    def defined_relation(self, formula: Formula,
+                         variables: tuple[str, ...] | None = None
                          ) -> tuple[tuple[str, ...], frozenset]:
-        """The relation ``formula`` defines over its free variables, as
-        ``(columns, rows)`` — the checker-level surface behind
-        :func:`define_relation`, going through the plan cache so repeated
-        calls (and :meth:`apply_update` in between) are O(lookup).
+        """The relation ``formula`` defines, as ``(columns, rows)`` laid
+        out over ``variables`` (default: the formula's free variables,
+        sorted) — the one implementation behind :func:`define_relation`.
+        Columns the formula leaves unconstrained range over the whole
+        universe.
 
-        On the ``tuple`` backend — or when every plan rung fails — the
-        rows come from the governed tuple enumeration over the formula's
-        free variables, sorted.
+        On the plan backends the rows come down the degradation ladder
+        (:meth:`_plan_rows`) through the plan cache, keyed by formula,
+        auxiliary snapshot and ``variables`` as given, so repeated calls
+        (and :meth:`apply_update` in between) are O(lookup).  On the
+        ``tuple`` backend — or when every plan rung fails — they come from
+        the governed tuple enumeration, :meth:`_tuple_rows`.
         """
-        self._thread_lock.acquire()
-        previous = self._governor
-        self._governor = governor = \
-            self.budget.start(self.plan_stats) if self.budget is not None \
-            else None
-        try:
-            with self._restoring():
-                if governor is not None:
-                    governor.check_time()
-                if self.backend in ("plan", "columnar"):
-                    try:
-                        return self._plan_relation(formula)
-                    except _TupleFallback:
-                        pass
-                layout = tuple(sorted(free_variables_of(formula)))
-                rows = set()
-                assignment: dict[str, int] = {}
-                for row in product(self.structure.universe,
-                                   repeat=len(layout)):
-                    for variable, value in zip(layout, row):
-                        assignment[variable] = value
-                    if self._eval(formula, assignment):
-                        rows.add(row)
-                return layout, frozenset(rows)
-        finally:
-            self._governor = previous
-            self._thread_lock.release()
+        with self._call():
+            if self.backend != "tuple":
+                relation = self._plan_relation(formula, variables)
+                if relation is not None:
+                    return relation
+            layout = tuple(variables) if variables is not None \
+                else tuple(sorted(free_variables_of(formula)))
+            return layout, self._tuple_rows(formula, layout)
 
     # --------------------------------------------------- incremental updates
 
@@ -368,116 +268,109 @@ class ModelChecker:
         """Apply ``changeset`` to the structure and maintain every memoized
         defined relation incrementally (Dyn-FO; see :mod:`repro.logic.ivm`).
 
-        Per cached ``("plan", formula, snapshot)`` entry whose formula
-        reads a changed relation, the maintainability analysis
-        (:func:`~repro.logic.optimize.maintenance_strategy`) picks delta /
-        closure / fixpoint patching or the recompute fallback; a patched
-        value replaces the entry, a fallback — including *any* error on
-        the maintenance path — drops it and records a
+        Per cached ``("plan", formula, snapshot, layout)`` entry whose
+        formula reads a changed relation, the plan optimized for the
+        entry's own layout goes through the maintainability analysis
+        (:func:`~repro.logic.optimize.maintenance_strategy`), which picks
+        delta / closure / fixpoint patching or the recompute fallback; a
+        patched value replaces the entry, a fallback — including *any*
+        error on the maintenance path — drops it and records a
         ``DegradationEvent("ivm", "recompute")``, so the cache is never
         stale.  Tuple-backend memo kinds (``lfp``/``tc``/``dtc``) and any
         update that grows the universe drop unconditionally.  Returns the
         net :class:`~repro.structures.changeset.Changeset`.
         """
-        with self._thread_lock:
-            return self._apply_update_locked(changeset)
-
-    def _apply_update_locked(self, changeset) -> "Changeset":
         from .ivm import MaintenanceFallback, maintain, relation_names
         from .optimize import _depends_on, maintenance_strategy
 
-        old_relations = dict(self.structure.relations)
-        old_size = self.structure.size
-        net = self.structure.apply(changeset)
-        if not net:
-            return net
-        previous = self._governor
-        self._governor = governor = \
-            self.budget.start(self.plan_stats) if self.budget is not None \
-            else None
-        try:
-            if self.structure.size != old_size:
-                # New labels grew the universe: every quantifier range and
-                # domain product changed, so nothing survives.
-                if self._fixpoint_cache:
-                    self.degradations.append(DegradationEvent(
-                        "ivm", "recompute",
-                        f"universe grew {old_size} -> {self.structure.size}"))
-                    self._bump_ivm("recompute", len(self._fixpoint_cache))
-                self._fixpoint_cache.clear()
-                self._plan_memo.clear()
+        with self._call() as governor:
+            old_relations = dict(self.structure.relations)
+            old_size = self.structure.size
+            net = self.structure.apply(changeset)
+            if not net:
                 return net
-            inserted, deleted = net.by_op()
-            changed = frozenset(inserted) | frozenset(deleted)
-            old_structure = Structure._unchecked(
-                self.structure.vocabulary, old_size, old_relations,
-                self.structure.intern)
-            for plan_key in list(self._plan_memo):
-                if any(_depends_on(plan_key, name, RelationScan)
-                       for name in changed):
-                    del self._plan_memo[plan_key]
-            pending = [key for key in self._fixpoint_cache
-                       if relation_names(key[1]) & changed]
             try:
-                while pending:
-                    key = pending.pop()
-                    kind, formula, snapshot = key
-                    if kind != "plan":
-                        del self._fixpoint_cache[key]
+                if self.structure.size != old_size:
+                    # New labels grew the universe: every quantifier range
+                    # and domain product changed, so nothing survives.
+                    if self._fixpoint_cache:
                         self.degradations.append(DegradationEvent(
-                            "ivm", "recompute", f"tuple-backend {kind} memo"))
-                        self._bump_ivm("recompute")
-                        continue
-                    columns, rows = self._fixpoint_cache[key]
-                    try:
-                        plan = optimize_formula(formula, self.structure,
-                                                None, governor=governor)
-                        if tuple(plan.columns) != tuple(columns):
-                            raise MaintenanceFallback(
-                                "optimized layout changed under update")
-                        verdict = maintenance_strategy(plan, changed)
-                        patched = maintain(
-                            plan, verdict, columns, rows, old_structure,
-                            self.structure, inserted, deleted,
-                            formula=formula,
-                            auxiliary=dict(snapshot),
-                            support_check=self._support_oracle(
-                                formula, snapshot, columns, governor),
-                            stats=self.plan_stats, governor=governor,
-                            state=self._ivm_state.setdefault(key, {}))
-                        value = (columns, patched)
-                        stored = chaos_point(
-                            "ivm.memo.patch", value,
-                            corrupt=lambda v: (v[0],
-                                               frozenset({("$corrupt",)})))
-                        if stored is not value:
-                            raise MaintenanceFallback(
-                                "memo patch did not round-trip")
-                        self._fixpoint_cache[key] = stored
-                        self._bump_ivm(verdict.strategy)
-                    except ResourceLimitExceeded:
-                        # The budget fired mid-maintenance: this entry is
-                        # half-patched and the rest unvisited — drop them
-                        # all (never stale), then let the limit propagate.
-                        del self._fixpoint_cache[key]
-                        raise
-                    except Exception as error:
-                        del self._fixpoint_cache[key]
-                        self.degradations.append(DegradationEvent(
-                            "ivm", "recompute", repr(error)))
-                        self._bump_ivm("recompute")
-            except BaseException:
-                for key in pending:
-                    self._fixpoint_cache.pop(key, None)
-                raise
-            return net
-        finally:
-            self._governor = previous
-            if self._ivm_state:
-                self._ivm_state = {
-                    key: scratch
-                    for key, scratch in self._ivm_state.items()
-                    if key in self._fixpoint_cache}
+                            "ivm", "recompute",
+                            f"universe grew {old_size} -> "
+                            f"{self.structure.size}"))
+                        self._bump_ivm("recompute", len(self._fixpoint_cache))
+                    self._fixpoint_cache.clear()
+                    self._plan_memo.clear()
+                    return net
+                inserted, deleted = net.by_op()
+                changed = frozenset(inserted) | frozenset(deleted)
+                old_structure = Structure._unchecked(
+                    self.structure.vocabulary, old_size, old_relations,
+                    self.structure.intern)
+                for plan_key in list(self._plan_memo):
+                    if any(_depends_on(plan_key, name, RelationScan)
+                           for name in changed):
+                        del self._plan_memo[plan_key]
+                pending = [key for key in self._fixpoint_cache
+                           if relation_names(key[1]) & changed]
+                try:
+                    while pending:
+                        key = pending.pop()
+                        kind, formula, snapshot = key[:3]
+                        if kind != "plan":
+                            del self._fixpoint_cache[key]
+                            self.degradations.append(DegradationEvent(
+                                "ivm", "recompute",
+                                f"tuple-backend {kind} memo"))
+                            self._bump_ivm("recompute")
+                            continue
+                        columns, rows = self._fixpoint_cache[key]
+                        try:
+                            plan = optimize_formula(formula, self.structure,
+                                                    key[3], governor=governor)
+                            verdict = maintenance_strategy(plan, changed)
+                            patched = maintain(
+                                plan, verdict, columns, rows, old_structure,
+                                self.structure, inserted, deleted,
+                                formula=formula,
+                                auxiliary=dict(snapshot),
+                                support_check=self._support_oracle(
+                                    formula, snapshot, columns, governor),
+                                stats=self.plan_stats, governor=governor,
+                                state=self._ivm_state.setdefault(key, {}))
+                            value = (columns, patched)
+                            stored = chaos_point(
+                                "ivm.memo.patch", value,
+                                corrupt=lambda v: (v[0],
+                                                   frozenset({("$corrupt",)})))
+                            if stored is not value:
+                                raise MaintenanceFallback(
+                                    "memo patch did not round-trip")
+                            self._fixpoint_cache[key] = stored
+                            self._bump_ivm(verdict.strategy)
+                        except ResourceLimitExceeded:
+                            # The budget fired mid-maintenance: this entry
+                            # is half-patched and the rest unvisited — drop
+                            # them all (never stale), then let the limit
+                            # propagate.
+                            del self._fixpoint_cache[key]
+                            raise
+                        except Exception as error:
+                            del self._fixpoint_cache[key]
+                            self.degradations.append(DegradationEvent(
+                                "ivm", "recompute", repr(error)))
+                            self._bump_ivm("recompute")
+                except BaseException:
+                    for key in pending:
+                        self._fixpoint_cache.pop(key, None)
+                    raise
+                return net
+            finally:
+                if self._ivm_state:
+                    self._ivm_state = {
+                        key: scratch
+                        for key, scratch in self._ivm_state.items()
+                        if key in self._fixpoint_cache}
 
     def _support_oracle(self, formula: Formula, snapshot: frozenset,
                         columns: tuple[str, ...], governor):
@@ -498,76 +391,157 @@ class ModelChecker:
         self.ivm_stats[strategy] = self.ivm_stats.get(strategy, 0) + count
 
     @contextmanager
-    def _restoring(self):
-        """Roll the checker's mutable state — auxiliary relations and both
-        memo tables — back to its pre-query snapshot if the query raises,
-        so one aborted evaluation can never poison the next (the
-        mutate-and-restore audit the governor's error paths rely on).  The
-        degradation log is deliberately left alone: it is an audit trail,
-        not query state."""
-        saved_auxiliary = dict(self.auxiliary)
-        saved_cache = set(self._fixpoint_cache)
-        saved_memo = set(self._plan_memo)
-        try:
-            yield
-        except BaseException:
-            self.auxiliary.clear()
-            self.auxiliary.update(saved_auxiliary)
-            for key in set(self._fixpoint_cache) - saved_cache:
-                del self._fixpoint_cache[key]
-            for key in set(self._plan_memo) - saved_memo:
-                del self._plan_memo[key]
-            raise
+    def _call(self):
+        """The frame every public entry point runs in.
 
-    def _plan_relation(self, formula: Formula
-                       ) -> tuple[tuple[str, ...], frozenset]:
+        Takes the checker's lock; mints a fresh governor from ``budget``
+        for this one call (the caps are per-query; ``None`` without a
+        budget, the ungoverned fast path), yields it after one up-front
+        time check; and if the call raises, rolls the auxiliary relations
+        and both memo tables back to their pre-call state, so one aborted
+        evaluation can never poison the next (the mutate-and-restore audit
+        the governor's error paths rely on).  The degradation log is
+        deliberately left alone: it is an audit trail, not query state.
+        """
+        with self._thread_lock:
+            previous = self._governor
+            self._governor = governor = \
+                self.budget.start(self.plan_stats) \
+                if self.budget is not None else None
+            saved_auxiliary = dict(self.auxiliary)
+            saved_cache = set(self._fixpoint_cache)
+            saved_memo = set(self._plan_memo)
+            try:
+                if governor is not None:
+                    governor.check_time()
+                yield governor
+            except BaseException:
+                self.auxiliary.clear()
+                self.auxiliary.update(saved_auxiliary)
+                for key in set(self._fixpoint_cache) - saved_cache:
+                    del self._fixpoint_cache[key]
+                for key in set(self._plan_memo) - saved_memo:
+                    del self._plan_memo[key]
+                raise
+            finally:
+                self._governor = previous
+
+    def _memo_key(self, formula: Formula, variables) -> tuple:
+        """The plan-cache key of a defined relation.  ``variables=None``
+        (the sorted free variables) is a key of its own, so the default
+        layout's reads never recompute the formula's free variables."""
+        layout = tuple(variables) if variables is not None else None
+        return ("plan", formula, self._aux_snapshot(), layout)
+
+    def _plan_relation(self, formula: Formula, variables
+                       ) -> tuple[tuple[str, ...], frozenset] | None:
         """The formula's defined relation ``(columns, rows)`` through the
         plan cache — the memo surface :meth:`apply_update` patches.
-        Raises :class:`_TupleFallback` at the bottom of the degradation
-        ladder (nothing is cached in that case)."""
-        key = ("plan", formula, self._aux_snapshot())
-        cached = self._fixpoint_cache.get(key) if self.memoize else None
-        if cached is not None:
-            return cached
-
-        def context_for() -> ExecutionContext:
-            return ExecutionContext(self.structure, dict(self.auxiliary),
-                                    stats=self.plan_stats,
-                                    memo=self._plan_memo,
-                                    governor=self._governor)
-
-        columnar_for = None
-        if self.backend == "columnar":
-            def columnar_for(plan):
-                return execute_columnar(plan, self.structure,
-                                        auxiliary=dict(self.auxiliary),
-                                        stats=self.plan_stats,
-                                        governor=self._governor,
-                                        degradations=self.degradations)
-
-        columns, rows = _plan_rows(formula, None, self.structure,
-                                   context_for, self.optimize,
-                                   self._governor, self.degradations,
-                                   columnar_for=columnar_for)
+        ``None`` at the bottom of the degradation ladder (nothing is
+        cached then)."""
+        key = self._memo_key(formula, variables)
         if self.memoize:
-            self._memo_store(key, (columns, rows))
-        return columns, rows
+            cached = self._fixpoint_cache.get(key)
+            if cached is not None:
+                return cached
+        relation = self._plan_rows(formula, variables)
+        if relation is not None and self.memoize:
+            self._memo_store(key, relation)
+        return relation
+
+    def _plan_rows(self, formula: Formula, variables
+                   ) -> tuple[tuple[str, ...], frozenset] | None:
+        """Execute ``formula`` laid out over ``variables`` (``None``: its
+        sorted free variables) set-at-a-time down the degradation ladder:
+        columnar → optimized plan → raw plan → tuple.
+
+        First the formula is optimized (unless this checker is the
+        ``optimize=False`` oracle); any failure doing so — a rewrite
+        crash, an injected fault, or a budget blown mid-pipeline — records
+        ``DegradationEvent("optimize", "raw-plan")`` and leaves only the
+        raw compiled plan.  Then each rung runs in turn:
+
+        * ``columnar`` (``columnar`` backend only): the best plan at hand
+          compiled to a specialized bitset/CSR closure;
+        * ``plan``: the optimized plan, interpreted;
+        * ``raw-plan``: the raw compiled plan, interpreted.
+
+        A rung that fails internally records ``DegradationEvent(stage,
+        next rung)`` and hands over to the next one; a
+        :class:`ResourceLimitExceeded` is the budget working as intended
+        and always propagates.  Every rung gets a fresh execution context,
+        so a failed rung cannot leak partial stage state into the next.
+        Returns ``(columns, rows)`` of the rung that answered.  Below the
+        raw plan lies the tuple oracle, which the caller runs in its own
+        form (row enumeration for a defined relation, one assignment for
+        :meth:`evaluate`): this returns ``None`` then.
+        """
+        plan = None
+        if self.optimize:
+            try:
+                plan = optimize_formula(formula, self.structure, variables,
+                                        governor=self._governor)
+            except Exception as error:
+                self.degradations.append(
+                    DegradationEvent("optimize", "raw-plan", repr(error)))
+        # (stage, fallback, plan); ``None`` stands for the raw compiled
+        # plan, lowered on first use.
+        rungs = [("columnar", "plan", plan)] \
+            if self.backend == "columnar" else []
+        if plan is not None:
+            rungs.append(("plan", "raw-plan", plan))
+        rungs.append(("plan", "tuple", None))
+        raw = None
+        for stage, fallback, target in rungs:
+            if target is None:
+                if raw is None:
+                    raw = compile_formula(formula, variables)
+                target = raw
+            try:
+                if stage == "columnar":
+                    return target.columns, execute_columnar(
+                        target, self.structure, auxiliary=self.auxiliary,
+                        stats=self.plan_stats, governor=self._governor,
+                        degradations=self.degradations)
+                context = ExecutionContext(self.structure,
+                                           dict(self.auxiliary),
+                                           stats=self.plan_stats,
+                                           memo=self._plan_memo,
+                                           governor=self._governor)
+                return target.columns, frozenset(target.execute(context).rows)
+            except ResourceLimitExceeded:
+                raise
+            except Exception as error:
+                self.degradations.append(
+                    DegradationEvent(stage, fallback, repr(error)))
+        return None
+
+    def _tuple_rows(self, formula: Formula, layout: tuple[str, ...]
+                    ) -> frozenset:
+        """The tuple oracle's defined relation: every row of the universe
+        over ``layout`` decided by the recursive evaluator, one assignment
+        dict rebound in place (TC/DTC/LFP sub-formulas are closed over once
+        through the fixed-point memo when ``memoize``)."""
+        rows = set()
+        assignment: dict[str, int] = {}
+        for row in product(self.structure.universe, repeat=len(layout)):
+            for variable, value in zip(layout, row):
+                assignment[variable] = value
+            if self._eval(formula, assignment):
+                rows.add(row)
+        return frozenset(rows)
 
     def _eval_plan(self, formula: Formula, assignment: dict[str, int]) -> bool:
-        """Set-at-a-time evaluation: compile once (memoized per formula),
-        optimize against the structure's statistics (unless the checker is
-        the ``optimize=False`` oracle), execute the plan into the formula's
-        defined relation over its free variables, and decide the assignment
-        by a row lookup.  The relation depends only on the formula and the
-        auxiliary snapshot, so it is cached exactly like the tuple
-        backend's fixed points."""
-        try:
-            columns, rows = self._plan_relation(formula)
-        except _TupleFallback:
+        """Set-at-a-time evaluation: the formula's defined relation over
+        its sorted free variables (optimized, executed and cached exactly
+        like :meth:`defined_relation`'s), decided by a row lookup."""
+        relation = self._plan_relation(formula, None)
+        if relation is None:
             # Bottom of the ladder: answer this assignment through the
             # tuple oracle (immune to every plan-side fault by
             # construction); nothing is cached under the "plan" key.
             return self._eval(formula, assignment)
+        columns, rows = relation
         values = []
         for column in columns:
             value = assignment.get(column, _UNBOUND)
@@ -844,17 +818,17 @@ def define_relation(formula: Formula, structure: Structure,
                     budget: Budget | None = None,
                     degradations: list | None = None) -> frozenset[tuple[int, ...]]:
     """The relation ``{(v1..vk) | structure |= formula[v̄]}`` defined by a
-    formula with the given free variables.
+    formula over the layout ``variables`` — a one-shot
+    :meth:`ModelChecker.defined_relation` (rows only).
 
-    With ``backend="plan"`` the formula is compiled once to a relational
-    plan laid out over exactly ``variables`` (columns the formula leaves
+    With ``backend="plan"`` the formula is compiled to a relational plan
+    laid out over exactly ``variables`` (columns the formula leaves
     unconstrained range over the whole domain), rewritten by the plan
     optimizer against the structure's statistics (unless
     ``optimize=False``, the optimizer's differential oracle), and executed
     set-at-a-time — no per-row enumeration at all.  ``backend="columnar"``
     further lowers the plan to a specialized bitset/CSR closure
-    (:mod:`repro.logic.codegen`), degrading to the plan interpreter on
-    any columnar-side failure.  ``stats`` optionally receives the
+    (:mod:`repro.logic.codegen`).  ``stats`` optionally receives the
     execution's :class:`~repro.logic.plan.PlanStats` counters.
 
     With the default ``backend="tuple"`` (the oracle), one checker is
@@ -869,40 +843,19 @@ def define_relation(formula: Formula, structure: Structure,
     down to the tuple oracle, appending each rung dropped to
     ``degradations`` when a list is supplied.
     """
-    if backend not in LOGIC_BACKENDS:
-        raise ValueError(
-            f"unknown logic backend {backend!r}: expected one of {LOGIC_BACKENDS}"
-        )
+    checker = ModelChecker(structure, memoize=memoize, seminaive=seminaive,
+                           backend=backend, optimize=optimize, budget=budget)
+    # The caller's counters replace the checker's own: ``None`` must reach
+    # codegen as ``None``, which then runs its untracked kernels.
+    checker.plan_stats = stats
+    if degradations is not None:
+        checker.degradations = degradations
     layout = tuple(variables)
-    governor = budget.start(stats) if budget is not None else None
-    events: list = degradations if degradations is not None else []
-    if backend in ("plan", "columnar"):
-        def context_for() -> ExecutionContext:
-            return ExecutionContext(structure, {}, stats=stats, memo={},
-                                    governor=governor)
-
-        columnar_for = None
-        if backend == "columnar":
-            def columnar_for(plan):
-                return execute_columnar(plan, structure, stats=stats,
-                                        governor=governor,
-                                        degradations=events)
-
-        try:
-            _columns, rows = _plan_rows(formula, layout, structure,
-                                        context_for, optimize, governor,
-                                        events, columnar_for=columnar_for)
-            return rows
-        except _TupleFallback:
-            pass  # fall through to the governed tuple enumeration below
-    checker = ModelChecker(structure, memoize=memoize, seminaive=seminaive)
-    checker._governor = governor
-    rows = set()
-    assignment: dict[str, int] = {}
-    for row in product(structure.universe, repeat=len(layout)):
-        for variable, value in zip(layout, row):
-            assignment[variable] = value
-        if checker._eval(formula, assignment):
-            rows.add(row)
-    events.extend(checker.degradations)
-    return frozenset(rows)
+    with checker._call():
+        # One shot: the ladder runs without the plan cache, since nothing
+        # would read the entry again (and it would count against a
+        # budget's ``max_memo_entries``).
+        relation = checker._plan_rows(formula, layout) \
+            if backend != "tuple" else None
+        return relation[1] if relation is not None else \
+            checker._tuple_rows(formula, layout)

@@ -68,6 +68,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+from repro.core.lru import LRUCache
 from repro.structures.structure import Structure
 from repro.testing.chaos import chaos_point
 
@@ -1153,12 +1154,11 @@ def optimize_plan(plan: Plan, cost: CostModel, governor=None) -> Plan:
     return plan
 
 
-#: Manually managed memo for optimized plans, keyed by (formula, layout,
-#: cost-model key).  A plain dict rather than ``lru_cache`` so failed
+#: Memo for optimized plans, keyed by (formula, layout, cost-model key).
+#: Managed by hand rather than ``functools.lru_cache`` so failed
 #: optimizations are never cached, chaos tests can clear it, and a governor
 #: (never hashable state) stays out of the key.
-_PLAN_CACHE: dict[tuple, Plan] = {}
-_PLAN_CACHE_LIMIT = 2048
+_PLAN_CACHE = LRUCache(2048)
 
 
 def clear_plan_cache() -> None:
@@ -1172,12 +1172,10 @@ def _optimized(formula: Formula, variables: tuple[str, ...] | None,
     key = (formula, variables, cost_key)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
-            _PLAN_CACHE.clear()
         plan = optimize_plan(_demand_lowered(formula, variables),
                              CostModel(cost_key[0], dict(cost_key[1])),
                              governor=governor)
-        _PLAN_CACHE[key] = plan
+        _PLAN_CACHE.put(key, plan)
     return plan
 
 

@@ -3,7 +3,8 @@
 ``repro.service`` turns the batch model checker into a serving system
 (ROADMAP item 2) with robustness as the headline: structures stay
 resident in a pool of supervised worker *processes*, compiled+optimized
-plans are cached per (formula, stats signature), and every cross-process
+plans and their relations are cached per resident structure (dropped on
+reload), and every cross-process
 failure mode — a worker dying mid-query, a full queue, a blown deadline,
 a torn protocol frame — resolves to the correct answer or a typed error,
 never a hang and never a wrong answer.

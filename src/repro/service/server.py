@@ -57,6 +57,13 @@ from .pool import PoolConfig, WorkerPool
 __all__ = ["QueryService", "ServiceConfig", "serve_main"]
 
 
+def _error(type_name: str, kind: str, message: str, **extra) -> dict:
+    """A failure reply body: ``{"ok": false, "error": {type, kind,
+    message, ...extra}}``, ``kind`` picking the HTTP status."""
+    return {"ok": False, "error": {"type": type_name, "kind": kind,
+                                   "message": message, **extra}}
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     host: str = "127.0.0.1"
@@ -150,21 +157,18 @@ class QueryService:
         ``(http_status, body)``; never raises for request-shaped
         failures."""
         if self.draining:
-            return 503, {"ok": False, "error": {
-                "type": "Draining", "kind": "overload",
-                "message": "server is draining", "retry_after": 1.0}}
+            return 503, _error("Draining", "overload", "server is draining",
+                               retry_after=1.0)
         if not isinstance(payload, dict):
-            return 400, {"ok": False, "error": {
-                "type": "ProtocolError", "kind": "input",
-                "message": "request body must be a JSON object"}}
+            return 400, _error("ProtocolError", "input",
+                               "request body must be a JSON object")
         deadline = payload.get("deadline_seconds",
                                self.config.default_deadline_seconds)
         if deadline is not None and (
                 not isinstance(deadline, (int, float)) or deadline < 0):
-            return 400, {"ok": False, "error": {
-                "type": "ValueError", "kind": "input",
-                "message": f"deadline_seconds must be a non-negative "
-                           f"number, got {deadline!r}"}}
+            return 400, _error("ValueError", "input",
+                               f"deadline_seconds must be a non-negative "
+                               f"number, got {deadline!r}")
         started = time.monotonic()
         try:
             with self.admission.slot(deadline_seconds=deadline):
@@ -172,17 +176,13 @@ class QueryService:
                     0.0, deadline - (time.monotonic() - started))
                 return self._dispatch(payload, remaining, cancel_token)
         except Overloaded as error:
-            return 503, {"ok": False, "error": {
-                "type": "Overloaded", "kind": "overload",
-                "message": str(error), "retry_after": error.retry_after}}
+            return 503, _error("Overloaded", "overload", str(error),
+                               retry_after=error.retry_after)
         except WorkerCrashed as error:
-            return 502, {"ok": False, "error": {
-                "type": "WorkerCrashed", "kind": "crash",
-                "message": str(error), "attempts": error.attempts}}
+            return 502, _error("WorkerCrashed", "crash", str(error),
+                               attempts=error.attempts)
         except Exception as error:  # the 500 backstop: typed, not a hang
-            return 500, {"ok": False, "error": {
-                "type": type(error).__name__, "kind": "internal",
-                "message": str(error)}}
+            return 500, _error(type(error).__name__, "internal", str(error))
 
     def _dispatch(self, payload: dict, remaining: float | None,
                   cancel_token: CancelToken | None) -> tuple[int, dict]:
@@ -196,9 +196,8 @@ class QueryService:
             "max_rows": payload.get("max_rows"),
         }
         if request["structure"] is None or request["query"] is None:
-            return 400, {"ok": False, "error": {
-                "type": "ValueError", "kind": "input",
-                "message": "body must name a 'structure' and a 'query'"}}
+            return 400, _error("ValueError", "input",
+                               "body must name a 'structure' and a 'query'")
         if self.pool is not None:
             reply = self.pool.query(request, deadline_seconds=remaining)
         else:
@@ -283,9 +282,8 @@ class _Handler(BaseHTTPRequestHandler):
                                       "draining": self.service.draining},
                                 retry_after=1)
         else:
-            self._send_json(404, {"ok": False, "error": {
-                "type": "NotFound", "kind": "input",
-                "message": f"no such endpoint: {self.path}"}})
+            self._send_json(404, _error("NotFound", "input",
+                                        f"no such endpoint: {self.path}"))
 
     def _read_body(self) -> dict | None:
         length = int(self.headers.get("Content-Length") or 0)
@@ -293,14 +291,13 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            self._send_json(400, {"ok": False, "error": {
-                "type": "ProtocolError", "kind": "input",
-                "message": f"request body is not valid JSON: {error}"}})
+            self._send_json(400, _error(
+                "ProtocolError", "input",
+                f"request body is not valid JSON: {error}"))
             return None
         if not isinstance(body, dict):
-            self._send_json(400, {"ok": False, "error": {
-                "type": "ProtocolError", "kind": "input",
-                "message": "request body must be a JSON object"}})
+            self._send_json(400, _error(
+                "ProtocolError", "input", "request body must be a JSON object"))
             return None
         return body
 
@@ -363,17 +360,14 @@ class _Handler(BaseHTTPRequestHandler):
                 reply = self.service.load(body["name"], body["path"])
                 self._send_json(200 if reply.get("ok") else 400, reply)
             except KeyError as error:
-                self._send_json(400, {"ok": False, "error": {
-                    "type": "ValueError", "kind": "input",
-                    "message": f"load body must carry {error}"}})
+                self._send_json(400, _error(
+                    "ValueError", "input", f"load body must carry {error}"))
             except Exception as error:
-                self._send_json(500, {"ok": False, "error": {
-                    "type": type(error).__name__, "kind": "internal",
-                    "message": str(error)}})
+                self._send_json(500, _error(type(error).__name__,
+                                            "internal", str(error)))
         else:
-            self._send_json(404, {"ok": False, "error": {
-                "type": "NotFound", "kind": "input",
-                "message": f"no such endpoint: {self.path}"}})
+            self._send_json(404, _error("NotFound", "input",
+                                        f"no such endpoint: {self.path}"))
 
 
 def _make_server(service: QueryService, host: str,

@@ -8,12 +8,11 @@ it, and replay an idempotent read elsewhere — so nothing a worker holds
 is ever the only copy of anything.
 
 Caching: evaluation goes through one :class:`ModelChecker` per
-``(structure, backend, optimize, stats signature)``.  The checker's memo
-*is* the compiled+optimized plan cache — plans (and their defined
-relations) are keyed by the frozen formula, and the **stats signature**
-(relation cardinalities + universe size, i.e. everything the cost-based
-optimizer reads) is part of the checker key, so a structure whose
-statistics change gets fresh plans instead of stale reorderings.
+``(structure, backend, optimize)``.  The checker's memo *is* the
+compiled+optimized plan cache — defined relations are keyed by the frozen
+formula and the query's layout.  A resident structure never changes
+between loads, and a reload under the same name drops that name's
+checkers, so no plan outlives the statistics it was optimized against.
 
 Protocol ops (see :mod:`repro.service.protocol` for framing):
 
@@ -55,25 +54,11 @@ from repro.testing.chaos import ChaosError, chaos_point, install_policy_from_env
 
 from .protocol import read_frame, write_frame
 
-__all__ = ["Worker", "main", "stats_signature"]
+__all__ = ["Worker", "main"]
 
 #: The exit status of a chaos-injected hard crash (mirrors 128+SIGKILL,
 #: what a real ``kill -9`` reports).
 CRASH_EXIT = 137
-
-
-def stats_signature(structure: Structure) -> tuple:
-    """Everything the cost-based optimizer reads from a structure, as a
-    hashable plan-cache key component: universe size plus per-relation
-    cardinalities (and the persisted degree statistics, when present)."""
-    degrees = getattr(structure, "degree_stats", None) or {}
-    return (
-        structure.size,
-        tuple(sorted(
-            (name, len(relation),
-             tuple(sorted(degrees.get(name, {}).items())))
-            for name, relation in structure.relations.items())),
-    )
 
 
 def error_envelope(error: Exception) -> dict:
@@ -165,15 +150,9 @@ class Worker:
         if structure is None:
             raise KeyError(f"structure {name!r} is not resident; loaded: "
                            f"{sorted(self.structures) or 'none'}")
-        key = (name, backend, optimize, stats_signature(structure))
+        key = (name, backend, optimize)
         checker = self._checkers.get(key)
         if checker is None:
-            # New stats signature: drop this (name, backend) slot's stale
-            # checker (and its plans, optimized against dead statistics).
-            self._checkers = {
-                existing: value
-                for existing, value in self._checkers.items()
-                if existing[:3] != (name, backend, optimize)}
             checker = ModelChecker(structure, backend=backend,
                                    optimize=optimize)
             self._checkers[key] = checker
@@ -207,19 +186,16 @@ class Worker:
         else:
             checker.budget = None
         formula = query.formula()
-        cached = checker.is_memoized(formula)
+        cached = checker.is_memoized(formula, query.variables)
         if cached:
             self.plan_cache_hits += 1
         else:
             self.plan_cache_misses += 1
         mark = len(checker.degradations)
-        columns, rows = checker.defined_relation(formula)
+        _columns, rows = checker.defined_relation(formula, query.variables)
         if query.variables:
-            positions = [columns.index(variable)
-                         for variable in query.variables]
             answer = {"columns": list(query.variables),
-                      "rows": sorted([row[position] for position in positions]
-                                     for row in rows)}
+                      "rows": sorted(map(list, rows))}
         else:
             answer = {"result": () in rows}
         # Stamped once the answer is projected and sorted, so the figure

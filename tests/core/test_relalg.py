@@ -85,16 +85,6 @@ class TestIndexedRelation:
         # The lazily built index over a different column sees everything.
         assert relation.index(0)[1] == {(1, 10), (1, 20)}
 
-    def test_delta_tracking(self):
-        relation = IndexedRelation([(0, 1)])
-        assert relation.has_delta
-        assert relation.take_delta() == {(0, 1)}
-        assert not relation.has_delta
-        relation.add((0, 1))          # duplicate: not a new delta row
-        assert not relation.has_delta
-        relation.update([(1, 2), (2, 3)])
-        assert relation.take_delta() == {(1, 2), (2, 3)}
-
     def test_join_probes_the_column_index(self):
         edges = IndexedRelation([(0, 1), (1, 2), (1, 3)])
         paths = edges.join(edges, left_column=1, right_column=0)
@@ -124,16 +114,6 @@ class TestIndexedRelation:
         assert set(relation.difference([[0, 1], (1, 2)])) == {(0, 2)}
         empty = relation.difference(relation)
         assert len(empty) == 0 and empty.arity == 2
-
-    def test_difference_result_is_a_fresh_frontier(self):
-        relation = IndexedRelation([(0, 1), (1, 2)])
-        relation.take_delta()
-        result = relation.difference([(1, 2)])
-        # Delta-set semantics: the result's rows are all untaken frontier.
-        assert result.has_delta
-        assert result.take_delta() == {(0, 1)}
-        # The operand's drained delta is untouched.
-        assert not relation.has_delta
 
     def test_product(self):
         left = IndexedRelation([(0,), (1,)])
@@ -225,8 +205,6 @@ class TestIndexedRelation:
         relation = IndexedRelation.adopt(rows, arity=2)
         assert relation.rows is rows
         assert relation.arity == 2 and len(relation) == 2
-        # Adopted relations are results, not frontiers: no delta.
-        assert not relation.has_delta
         # Indexes build lazily and stay maintained through add().
         assert relation.matching(0, 1) == {(1, 2)}
         relation.add((1, 5))
@@ -335,13 +313,12 @@ class TestSessionKernelDispatch:
 class TestFailedAddLeavesNoTrace:
     """Restore-on-exception at the data-structure level (PR 6): a rejected
     ``add`` — wrong arity — must leave the relation exactly as it was:
-    rows, delta frontier, and every built index."""
+    rows and every built index."""
 
     @staticmethod
     def _snapshot(relation: IndexedRelation):
         return (
             set(relation.rows),
-            relation.has_delta,
             {column: {key: set(rows) for key, rows in index.items()}
              for column, index in relation._indexes.items()},
         )
@@ -363,8 +340,8 @@ class TestFailedAddLeavesNoTrace:
         with pytest.raises(ValueError, match="arity mismatch"):
             relation.add(bad)
         assert self._snapshot(relation) == before
-        # Still fully functional: a valid add lands in rows, delta and
-        # both maintained indexes.
+        # Still fully functional: a valid add lands in rows and both
+        # maintained indexes.
         assert relation.add((0, 0)) or (0, 0) in before[0]
         assert (0, 0) in relation.index(0)[0]
 
@@ -401,8 +378,6 @@ class TestIndexTransfer:
         # Buckets are clones: the operand's indexes are untouched.
         assert 3 not in single
         assert (3, 4) not in composite
-        # Full-delta invariant of every bulk operator.
-        assert result.take_delta() == result.rows
 
     def test_difference_prunes_transferred_indexes(self):
         relation = IndexedRelation([(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -412,7 +387,6 @@ class TestIndexTransfer:
         big_cut = relation.difference([(0, 1), (1, 2), (2, 3)])  # rebuild
         assert big_cut.index(1) == {4: {(3, 4)}}
         assert relation.index(1)[2] == {(1, 2)}             # operand intact
-        assert small_cut.take_delta() == small_cut.rows
 
     def test_unindexed_operands_stay_lazy(self):
         relation = IndexedRelation([(0, 1)])

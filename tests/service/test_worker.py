@@ -3,8 +3,8 @@ pipe loop and the server's inline mode.
 
 The contract: every request gets a reply carrying its ``id``; failures
 are *typed* envelopes (``kind`` ∈ input/resource/internal) mirroring the
-CLI exit-code taxonomy; plans are cached per stats signature and
-invalidated when a structure is reloaded or its statistics change.
+CLI exit-code taxonomy; plans are cached per resident structure and
+invalidated when a structure is reloaded.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.governor import CancelToken
-from repro.service.worker import Worker, error_envelope, stats_signature
+from repro.service.worker import Worker, error_envelope
 from repro.structures import graph_structure
 
 pytestmark = pytest.mark.usefixtures("snapshot_path")
@@ -153,17 +153,9 @@ def test_reload_invalidates_the_plan_cache(worker, snapshot_path):
     assert not reply["cached"], "reload must drop the old structure's plans"
 
 
-def test_stats_signature_tracks_cardinalities():
-    small = graph_structure(3, [(0, 1)])
-    bigger = graph_structure(3, [(0, 1), (1, 2)])
-    assert stats_signature(small) != stats_signature(bigger)
-    assert stats_signature(small) == stats_signature(
-        graph_structure(3, [(0, 1)]))
-
-
 def test_stale_checkers_are_evicted_not_leaked(worker, tmp_path):
-    """A structure whose statistics change gets a fresh checker and the
-    stale one (plans optimized against dead statistics) is dropped."""
+    """A reloaded structure gets a fresh checker and the stale one (plans
+    optimized against dead statistics) is dropped."""
     from repro.structures import save_snapshot
 
     worker.handle({"op": "query", "structure": "g", "query": "tc"})
@@ -173,7 +165,7 @@ def test_stale_checkers_are_evicted_not_leaked(worker, tmp_path):
     worker.handle({"op": "load", "name": "g", "path": str(grown)})
     worker.handle({"op": "query", "structure": "g", "query": "tc"})
     keys = [key for key in worker._checkers if key[0] == "g"]
-    assert len(keys) == 1, "stale-signature checker must be evicted"
+    assert len(keys) == 1, "the reloaded name's checker must be evicted"
 
 
 # ----------------------------------------------------------- envelopes
